@@ -407,7 +407,7 @@ func BenchmarkStreamedDivision(b *testing.B) {
 	b.Run("streamed", func(b *testing.B) {
 		var tr *ra.Trace
 		for i := 0; i < b.N; i++ {
-			_, tr = ra.EvalStreamedTraced(e, d)
+			_, tr = ra.EvalVectorizedTraced(e, d)
 		}
 		b.ReportMetric(float64(tr.MaxResident), "max-resident")
 		b.ReportMetric(float64(tr.MaxIntermediate), "max-intermediate")
@@ -418,8 +418,8 @@ func BenchmarkStreamedDivision(b *testing.B) {
 // trade on a projection feeding a join's probe side: R has 40 tuples
 // per group key, so π1(R) emits every key 40 times and the deferred-
 // dedup executor replays the join's candidate scan once per duplicate
-// probe (40× the probes), while the opt-in pipelined dedup filter
-// (StreamOptions.DedupProjections) spends one resident tuple per
+// probe (40× the probes), while the pipelined dedup filter
+// (StreamOptions{Dedup: DedupOn}) spends one resident tuple per
 // distinct key to probe once. The max-resident metrics quantify the
 // memory side of the trade.
 func BenchmarkStreamedDedupFilter(b *testing.B) {
@@ -438,7 +438,7 @@ func BenchmarkStreamedDedupFilter(b *testing.B) {
 		opts ra.StreamOptions
 	}{
 		{"replay", ra.StreamOptions{Dedup: ra.DedupOff}},
-		{"dedup-filter", ra.StreamOptions{DedupProjections: true}},
+		{"dedup-filter", ra.StreamOptions{Dedup: ra.DedupOn}},
 		// The cost-based default should land on the filter here: 40
 		// duplicate probes per key against ~20-candidate buckets dwarf
 		// one resident tuple per distinct key.
@@ -447,7 +447,7 @@ func BenchmarkStreamedDedupFilter(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			var tr *ra.Trace
 			for i := 0; i < b.N; i++ {
-				_, tr = ra.EvalStreamedTracedOpts(e, d, cfg.opts)
+				_, tr = ra.EvalVectorizedGoverned(nil, e, d, cfg.opts)
 			}
 			b.ReportMetric(float64(tr.MaxResident), "max-resident")
 			b.ReportMetric(float64(tr.TotalTuples), "total-flow")
@@ -455,13 +455,11 @@ func BenchmarkStreamedDedupFilter(b *testing.B) {
 	}
 }
 
-// BenchmarkVectorizedDivision (exp ST4) is the vectorized-execution
-// acceptance benchmark: the classical division expression evaluated
-// tuple-at-a-time against the columnar batch executor at batch sizes
-// 1, 64 and 1024. The vectorized arm at default batch size must beat
-// the tuple arm by ≥2x; allocs/op (visible with -benchmem) drop by two
-// orders of magnitude because batches are pooled and the hot loops
-// never leave interned IDs.
+// BenchmarkVectorizedDivision (exp ST4) sweeps the streaming
+// executor's batch size on the classical division expression: batch 1
+// prices the batch machinery with none of its amortization, 64 and
+// 1024 show what batching buys in ns/op and allocs/op (visible with
+// -benchmem).
 func BenchmarkVectorizedDivision(b *testing.B) {
 	r, s := benchDivisionInput(400)
 	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1}))
@@ -472,18 +470,12 @@ func BenchmarkVectorizedDivision(b *testing.B) {
 		d.Add("S", t)
 	}
 	e := ra.DivisionExpr("R", "S")
-	b.Run("tuple", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ra.EvalStreamed(e, d)
-		}
-	})
 	for _, size := range []int{1, 64, 1024} {
 		b.Run(fmt.Sprintf("vector-%d", size), func(b *testing.B) {
 			b.ReportAllocs()
-			opts := ra.StreamOptions{Vectorize: true, BatchSize: size}
+			opts := ra.StreamOptions{BatchSize: size}
 			for i := 0; i < b.N; i++ {
-				ra.EvalStreamedTracedOpts(e, d, opts)
+				ra.EvalVectorizedGoverned(nil, e, d, opts)
 			}
 		})
 	}
@@ -493,8 +485,8 @@ func BenchmarkVectorizedDivision(b *testing.B) {
 // select→project→join path on a flow-dominated workload: 5000 probe
 // tuples stream through the operators, 50 reach the output, so the
 // per-row costs of the pipeline — not the shared result sink — are
-// what the allocs/op and ns/op numbers measure. Acceptance: allocs/op
-// on the vectorized arm is ≥5x below the tuple arm.
+// what the allocs/op and ns/op numbers measure, at batch 1 (no
+// amortization) and at the default batch size.
 func BenchmarkVectorizedPipeline(b *testing.B) {
 	d := rel.NewDatabase(rel.NewSchema(map[string]int{"P": 2, "Q": 2}))
 	for i := 0; i < 5000; i++ {
@@ -506,17 +498,17 @@ func BenchmarkVectorizedPipeline(b *testing.B) {
 	e := ra.NewJoin(
 		ra.NewProject([]int{1}, ra.NewSelect(1, ra.OpNe, 2, ra.R("P", 2))),
 		ra.Eq(1, 1), ra.R("Q", 2))
-	b.Run("tuple", func(b *testing.B) {
+	b.Run("vector-1", func(b *testing.B) {
 		b.ReportAllocs()
+		opts := ra.StreamOptions{BatchSize: 1}
 		for i := 0; i < b.N; i++ {
-			ra.EvalStreamed(e, d)
+			ra.EvalVectorizedGoverned(nil, e, d, opts)
 		}
 	})
 	b.Run("vector", func(b *testing.B) {
 		b.ReportAllocs()
-		opts := ra.StreamOptions{Vectorize: true}
 		for i := 0; i < b.N; i++ {
-			ra.EvalStreamedTracedOpts(e, d, opts)
+			ra.EvalVectorized(e, d)
 		}
 	})
 }
@@ -595,14 +587,14 @@ func BenchmarkStreamedSemijoinAlgebra(b *testing.B) {
 	b.Run("streamed", func(b *testing.B) {
 		var tr *sa.Trace
 		for i := 0; i < b.N; i++ {
-			_, tr = sa.EvalStreamedTraced(e, d)
+			_, tr = sa.EvalVectorizedTraced(e, d)
 		}
 		b.ReportMetric(float64(tr.MaxResident), "max-resident")
 	})
 }
 
-// BenchmarkVectorizedSemijoin (exp ST6) is the SA-vectorization
-// acceptance benchmark on a flow-dominated probe: 20000 probe tuples
+// BenchmarkVectorizedSemijoin (exp ST6) sweeps the SA executor's batch
+// size on a flow-dominated probe: 20000 probe tuples
 // stream through the semijoin, 50 survive, so the numbers price the
 // per-row probe cost — not the shared result sink. The build side
 // interns into an ID-keyed distinct-key table and the probe compacts
@@ -619,12 +611,6 @@ func BenchmarkVectorizedSemijoin(b *testing.B) {
 		d.AddInts("Q", int64(400*j))
 	}
 	e := sa.NewSemijoin(sa.R("P", 2), ra.Eq(1, 1), sa.R("Q", 1))
-	b.Run("tuple", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sa.EvalStreamed(e, d)
-		}
-	})
 	for _, size := range []int{1, 64, 1024} {
 		b.Run(fmt.Sprintf("vector-%d", size), func(b *testing.B) {
 			b.ReportAllocs()
@@ -635,8 +621,8 @@ func BenchmarkVectorizedSemijoin(b *testing.B) {
 	}
 }
 
-// BenchmarkVectorizedGamma (exp ST6) is the γ-vectorization acceptance
-// benchmark on a flow-dominated aggregate: 20000 input tuples collapse
+// BenchmarkVectorizedGamma (exp ST6) sweeps the γ executor's batch
+// size on a flow-dominated aggregate: 20000 input tuples collapse
 // into 7 groups, so the numbers price the per-row grouping cost.
 // Group keys gather columnar-ly through IDMap caches into one key
 // dictionary, so grouping a seen value is an array load, a hash of
@@ -648,12 +634,6 @@ func BenchmarkVectorizedGamma(b *testing.B) {
 		d.AddInts("G", int64(i%7), int64(i%400))
 	}
 	e := xra.NewGamma([]int{1}, 2, &xra.Wrap{E: ra.R("G", 2)})
-	b.Run("tuple", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			xra.EvalStreamed(e, d)
-		}
-	})
 	for _, size := range []int{1, 64, 1024} {
 		b.Run(fmt.Sprintf("vector-%d", size), func(b *testing.B) {
 			b.ReportAllocs()
@@ -733,15 +713,12 @@ func BenchmarkBisimScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkGovernedOverhead prices the fault-tolerance plumbing of
-// PR 10: the same vectorized division run ungoverned (nil governor —
-// the legacy path, which must be byte-for-byte the pre-governor
-// executor) and through the governed Context boundary with an active
-// context and budgets. The governed arm's only steady-state cost is
-// one guard branch per batch on the columnar path (one per 64 tuples
-// on the tuple path), so the two arms must stay within noise of each
-// other. Acceptance: no >20% spread between the arms at the default
-// batch size.
+// BenchmarkGovernedOverhead prices the fault-tolerance plumbing: the
+// same division run ungoverned (nil governor) and through the governed
+// Context boundary with an active context and budgets. The governed
+// arm's only steady-state cost is one guard branch per batch, so the
+// two arms should stay within noise of each other; compare them from
+// repeated runs, not a single smoke iteration.
 func BenchmarkGovernedOverhead(b *testing.B) {
 	r, s := benchDivisionInput(400)
 	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1}))
@@ -753,11 +730,11 @@ func BenchmarkGovernedOverhead(b *testing.B) {
 	}
 	e := ra.DivisionExpr("R", "S")
 	for _, size := range []int{64, 1024} {
-		opts := ra.StreamOptions{Vectorize: true, BatchSize: size}
+		opts := ra.StreamOptions{BatchSize: size}
 		b.Run(fmt.Sprintf("ungoverned-%d", size), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ra.EvalStreamedTracedOpts(e, d, opts)
+				ra.EvalVectorizedGoverned(nil, e, d, opts)
 			}
 		})
 		b.Run(fmt.Sprintf("governed-%d", size), func(b *testing.B) {
@@ -767,7 +744,7 @@ func BenchmarkGovernedOverhead(b *testing.B) {
 			gopts := opts
 			gopts.Limits = exec.Limits{MaxResident: 1 << 30}
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ra.EvalStreamedContext(ctx, e, d, gopts); err != nil {
+				if _, _, err := ra.EvalVectorizedContext(ctx, e, d, gopts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -55,11 +55,11 @@ var workers int
 // stores into (0 = sweep 1, 2, 4).
 var shards int
 
-// batchSize is the -batch flag: the batch row capacity the vectorized
+// batchSize is the -batch flag: the batch row capacity the batch-size
 // sweeps run at (0 = the default sweep).
 var batchSize int
 
-// batchSizes is the batch-capacity sweep every vectorized experiment
+// batchSizes is the batch-capacity sweep every batch-size experiment
 // shares (ST4 and ST6 use one knob): the -batch flag pins a single
 // size; the default sweeps 1 — pricing the batch machinery with none
 // of its amortization — then 64 and 1024 (rel.BatchCap).
@@ -88,9 +88,9 @@ func experiments() []experiment {
 		{"ST1", "Streaming executor: resident vs intermediate on the division expression", runST1},
 		{"ST2", "Streamed SA/XRA: linear resident memory; cursor-fed parallel division", runST2},
 		{"ST3", "Sharded stores: shard-local division and set joins, per-shard resident memory, merge cost", runST3},
-		{"ST4", "Vectorized execution: tuple-at-a-time vs columnar batches, throughput and allocs", runST4},
+		{"ST4", "Streaming executor batch-size sweep: throughput and allocs against batch 1", runST4},
 		{"ST5", "Query planner: automatic linearization — division flow exponent 2 → 1, identical results", runST5},
-		{"ST6", "Vectorized semijoin algebras: workers × batch sweep, exchange overhead vs worker compute", runST6},
+		{"ST6", "Streamed semijoin algebras: workers × batch sweep, exchange overhead vs worker compute", runST6},
 	}
 }
 
@@ -289,7 +289,7 @@ func runST1(w io.Writer) {
 			d.Add("S", tp)
 		}
 		mat, mt := ra.EvalTraced(e, d)
-		str, st := ra.EvalStreamedTraced(e, d)
+		str, st := ra.EvalVectorizedTraced(e, d)
 		if !mat.Equal(str) {
 			fmt.Fprintln(w, "!! streamed result diverges from materialized")
 			return
@@ -334,9 +334,9 @@ func runST2(w io.Writer) {
 			d.Add("S", tp)
 		}
 		saMat, saT := sa.EvalTraced(saExpr, d)
-		saStr, saS := sa.EvalStreamedTraced(saExpr, d)
+		saStr, saS := sa.EvalVectorizedTraced(saExpr, d)
 		xMat, xT := xra.EvalTraced(xraExpr, d)
-		xStr, xS := xra.EvalStreamedTraced(xraExpr, d)
+		xStr, xS := xra.EvalVectorizedTraced(xraExpr, d)
 		if !saMat.Equal(saStr) || !xMat.Equal(xStr) {
 			fmt.Fprintln(w, "!! streamed result diverges from materialized")
 			return
@@ -368,7 +368,7 @@ func runST2(w io.Writer) {
 // runST3 measures the sharded storage layer on the P26 scaling family
 // and a set-join workload: a shard.Database is loaded at each shard
 // count, division and both set joins run shard-locally
-// (engine.StreamSharded workers over shard-local cursors, broadcast
+// (engine.StreamShardedBatches workers over shard-local batch scans, broadcast
 // divisor/S side), and the table reports the per-shard resident peak
 // (max and sum over shards) next to the merge's entry count and wall
 // time. Every sharded result is checked byte for byte against the
@@ -453,15 +453,17 @@ func runST3(w io.Writer) {
 	fmt.Fprintln(w, "flat — each shard holds only its own groups (plus the broadcast divisor)")
 }
 
-// runST4 measures the vectorized executor against the tuple-at-a-time
-// streaming executor on the BenchmarkStreamedDivision-scale division
-// family and on a pipelined select→project→join plan, sweeping batch
-// sizes 1, 64 and 1024 (size 1 prices the batch machinery with none of
-// its amortization). Every vectorized run is checked byte-identical to
-// the streamed emission, resident peaks must agree (operator state is
-// accounted identically), and the pooled batch footprint is reported
-// separately — the ISSUE's accounting split: batches are recycled
-// transport, not resident operator state.
+// runST4 sweeps the streaming executor's batch size on the
+// BenchmarkStreamedDivision-scale division family and on a pipelined
+// select→project→join plan. Batch 1 is the baseline: it prices the
+// batch machinery with none of its amortization, so the speedup and
+// alloc-ratio columns show what batching buys. Every batch size must
+// emit byte-identically to batch 1 and report the same resident peak
+// (operator state is accounted per row, not per batch), and the pooled
+// batch footprint is reported separately: batches are recycled
+// transport, not resident operator state. The timings are single
+// testing.Benchmark runs, a smoke-level reading rather than a gated
+// measurement.
 func runST4(w io.Writer) {
 	bench := func(f func()) (time.Duration, float64) {
 		r := testing.Benchmark(func(b *testing.B) {
@@ -482,10 +484,10 @@ func runST4(w io.Writer) {
 	}
 	div := ra.DivisionExpr("R", "S")
 	// The pipelined plan: a selection and a projection feeding an
-	// equi-join probe — the path the allocs/op acceptance targets. The
-	// workload is flow-dominated: 5000 probe tuples stream through the
-	// pipeline, 50 reach the output, so the measurement prices the
-	// operators rather than the (shared) result sink.
+	// equi-join probe. The workload is flow-dominated: 5000 probe
+	// tuples stream through the pipeline, 50 reach the output, so the
+	// measurement prices the operators rather than the (shared) result
+	// sink.
 	dp := rel.NewDatabase(rel.NewSchema(map[string]int{"P": 2, "Q": 2}))
 	for i := 0; i < 5000; i++ {
 		dp.AddInts("P", int64(i), int64(i%7))
@@ -496,48 +498,53 @@ func runST4(w io.Writer) {
 	pipe := ra.NewJoin(
 		ra.NewProject([]int{1}, ra.NewSelect(1, ra.OpNe, 2, ra.R("P", 2))),
 		ra.Eq(1, 1), ra.R("Q", 2))
-	t := stats.NewTable("plan", "executor", "batch", "time/op", "allocs/op", "speedup", "alloc ratio")
+	run := func(e ra.Expr, d rel.ReadStore, size int) (*rel.Relation, *ra.Trace) {
+		return ra.EvalVectorizedGoverned(nil, e, d, ra.StreamOptions{BatchSize: size})
+	}
+	t := stats.NewTable("plan", "batch", "time/op", "allocs/op", "speedup", "alloc ratio")
 	for _, pl := range []struct {
 		name string
 		e    ra.Expr
 		d    *rel.Database
 	}{{"division", div, d}, {"select→project→join", pipe, dp}} {
 		e, d := pl.e, pl.d
-		want, wt := ra.EvalStreamedTraced(e, d)
+		want, wt := run(e, d, 1)
 		wantT := want.Tuples()
-		baseNs, baseAllocs := bench(func() { ra.EvalStreamed(e, d) })
-		t.AddRow(pl.name, "tuple-at-a-time", "—", baseNs.Round(time.Microsecond), int64(baseAllocs), "1.00x", "1.0x")
+		baseNs, baseAllocs := bench(func() { run(e, d, 1) })
+		t.AddRow(pl.name, 1, baseNs.Round(time.Microsecond), int64(baseAllocs), "1.00x", "1.0x")
 		for _, size := range batchSizes() {
-			opts := ra.StreamOptions{Vectorize: true, BatchSize: size}
-			got, gt := ra.EvalStreamedTracedOpts(e, d, opts)
+			if size == 1 {
+				continue
+			}
+			got, gt := run(e, d, size)
 			if !sameEmission(got.Tuples(), wantT) {
-				fmt.Fprintln(w, "!! vectorized result diverges from streamed")
+				fmt.Fprintf(w, "!! batch %d emission diverges from batch 1\n", size)
 				return
 			}
 			if gt.MaxResident != wt.MaxResident {
-				fmt.Fprintf(w, "!! resident accounting diverges: vectorized %d, streamed %d\n", gt.MaxResident, wt.MaxResident)
+				fmt.Fprintf(w, "!! resident accounting diverges: batch %d %d, batch 1 %d\n", size, gt.MaxResident, wt.MaxResident)
 				return
 			}
-			ns, allocs := bench(func() { ra.EvalStreamedTracedOpts(e, d, opts) })
+			ns, allocs := bench(func() { run(e, d, size) })
 			ratio := "—"
 			if allocs > 0 {
 				ratio = fmt.Sprintf("%.1fx", baseAllocs/allocs)
 			}
-			t.AddRow(pl.name, "vectorized", size, ns.Round(time.Microsecond), int64(allocs),
+			t.AddRow(pl.name, size, ns.Round(time.Microsecond), int64(allocs),
 				fmt.Sprintf("%.2fx", float64(baseNs)/float64(ns)), ratio)
 		}
-		fmt.Fprintf(w, "%s: vectorized emission byte-identical to streamed; MaxResident %d on both executors\n",
+		fmt.Fprintf(w, "%s: emission byte-identical at every batch size; MaxResident %d at every size\n",
 			pl.name, wt.MaxResident)
 	}
 	rel.ResetBatchPoolPeak()
-	ra.EvalStreamedTracedOpts(div, d, ra.StreamOptions{Vectorize: true})
+	ra.EvalVectorized(div, d)
 	live, peak, _ := rel.BatchPoolStats()
 	fmt.Fprintln(w)
 	fmt.Fprint(w, t)
-	fmt.Fprintf(w, "\npooled batches: peak %d in flight (≤ %d rows) during vectorized division, %d live after —\n",
+	fmt.Fprintf(w, "\npooled batches: peak %d in flight (≤ %d rows) during division, %d live after —\n",
 		peak, peak*int64(rel.BatchCap), live)
 	fmt.Fprintln(w, "transport buffers recycle through the pool and never enter MaxResident, so the")
-	fmt.Fprintln(w, "ST1–ST3 resident-memory exponents are untouched by vectorization")
+	fmt.Fprintln(w, "ST1–ST3 resident-memory exponents are independent of the batch size")
 }
 
 // runST5 drives the planner end to end on the P26 scaling family: the
@@ -596,8 +603,8 @@ func runST5(w io.Writer) {
 
 // saTracesMatch reports whether two SA traces agree on shape: the
 // same steps in the same order — operator and flow count — and the
-// same resident peak. This is the parity the vectorized executor owes
-// the tuple executor beyond byte-identical emission.
+// same resident peak. Changing the batch size must not change any of
+// them: batching is transport, not semantics.
 func saTracesMatch(got, want *sa.Trace) bool {
 	if len(got.Steps) != len(want.Steps) || got.MaxResident != want.MaxResident {
 		return false
@@ -625,23 +632,25 @@ func xraTracesMatch(got, want *xra.Trace) bool {
 	return true
 }
 
-// runST6 sweeps the vectorized semijoin algebras across worker counts
-// and batch sizes, separating the two costs parallel vectorized
+// runST6 sweeps the streamed semijoin algebras across worker counts
+// and batch sizes, separating the two costs parallel batched
 // execution pays. The compute arm is single-worker by construction:
-// the vectorized SA and γ executors against their tuple-at-a-time
-// baselines at each batch size, so the batch knob is the only thing
-// moving — guarded by byte-identical emission, identical trace shape
-// (step order and per-step flow) and identical resident peak. The
-// exchange arm runs division sharded four ways, feeding shard-local
-// sized batch scans into the vectorized probe
+// the SA and γ executors at each batch size against their batch-1
+// baselines, so the batch knob is the only thing moving — guarded by
+// byte-identical emission, identical trace shape (step order and
+// per-step flow) and identical resident peak. The exchange arm runs
+// division sharded four ways, feeding shard-local sized batch scans
+// into the batched probe
 // (division.DivideShardBatches) over the worker pool at each
 // workers × batch point; the gid-ordered merge is timed separately,
 // because merge time is pure exchange overhead — paid once, whatever
 // the worker count — while the shard compute divides across workers
 // and amortizes with batch size. Every merged result is checked byte
 // for byte against the sequential hash division, and a planner tail
-// pins the mixed vectorized executor against the tuple plan. -workers
-// and -batch pin single points of the sweep.
+// pins the mixed executor's emission across batch sizes. -workers and
+// -batch pin single points of the sweep. The timings are single
+// testing.Benchmark runs, a smoke-level reading rather than a gated
+// measurement.
 func runST6(w io.Writer) {
 	r, s := divisionScaling(400)
 	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1}))
@@ -664,22 +673,25 @@ func runST6(w io.Writer) {
 	// Compute arm.
 	saExpr := sa.NewProject([]int{1}, sa.NewAntijoin(sa.R("R", 2), ra.Eq(2, 1), sa.R("S", 1)))
 	xExpr := xra.ContainmentDivision("R", "S")
-	saWant, saWT := sa.EvalStreamedTraced(saExpr, d)
-	xWant, xWT := xra.EvalStreamedTraced(xExpr, d)
-	saBase := bench(func() { sa.EvalStreamed(saExpr, d) })
-	xBase := bench(func() { xra.EvalStreamed(xExpr, d) })
+	saWant, saWT := sa.EvalVectorizedTracedSized(saExpr, d, 1)
+	xWant, xWT := xra.EvalVectorizedTracedSized(xExpr, d, 1)
+	saBase := bench(func() { sa.EvalVectorizedTracedSized(saExpr, d, 1) })
+	xBase := bench(func() { xra.EvalVectorizedTracedSized(xExpr, d, 1) })
 	ct := stats.NewTable("algebra", "batch", "time/op", "speedup")
-	ct.AddRow("SA antijoin-division", "tuple", saBase.Round(time.Microsecond), "1.00x")
-	ct.AddRow("γ-division", "tuple", xBase.Round(time.Microsecond), "1.00x")
+	ct.AddRow("SA antijoin-division", 1, saBase.Round(time.Microsecond), "1.00x")
+	ct.AddRow("γ-division", 1, xBase.Round(time.Microsecond), "1.00x")
 	for _, size := range batchSizes() {
+		if size == 1 {
+			continue
+		}
 		saGot, saGT := sa.EvalVectorizedTracedSized(saExpr, d, size)
 		xGot, xGT := xra.EvalVectorizedTracedSized(xExpr, d, size)
 		if !sameEmission(saGot.Tuples(), saWant.Tuples()) || !sameEmission(xGot.Tuples(), xWant.Tuples()) {
-			fmt.Fprintln(w, "!! vectorized emission diverges from streamed")
+			fmt.Fprintf(w, "!! batch %d emission diverges from batch 1\n", size)
 			return
 		}
 		if !saTracesMatch(saGT, saWT) || !xraTracesMatch(xGT, xWT) {
-			fmt.Fprintln(w, "!! vectorized trace shape diverges from streamed")
+			fmt.Fprintf(w, "!! batch %d trace shape diverges from batch 1\n", size)
 			return
 		}
 		saNs := bench(func() { sa.EvalVectorizedTracedSized(saExpr, d, size) })
@@ -689,8 +701,8 @@ func runST6(w io.Writer) {
 		ct.AddRow("γ-division", size, xNs.Round(time.Microsecond),
 			fmt.Sprintf("%.2fx", float64(xBase)/float64(xNs)))
 	}
-	fmt.Fprintln(w, "compute arm (one worker): vectorized SA/γ emission, trace shape and resident")
-	fmt.Fprintln(w, "peak identical to tuple-at-a-time at every batch size")
+	fmt.Fprintln(w, "compute arm (one worker): SA/γ emission, trace shape and resident peak")
+	fmt.Fprintln(w, "identical to batch 1 at every batch size")
 	fmt.Fprint(w, ct)
 
 	// Exchange arm.
@@ -726,7 +738,7 @@ func runST6(w io.Writer) {
 			merge := time.Since(mergeStart)
 			total := time.Since(start)
 			if !sameEmission(out.Tuples(), want.Tuples()) {
-				fmt.Fprintln(w, "!! sharded vectorized division diverges from sequential hash")
+				fmt.Fprintln(w, "!! sharded batched division diverges from sequential hash")
 				return
 			}
 			et.AddRow(wk, size, total.Round(time.Microsecond), merge.Round(time.Microsecond),
@@ -739,8 +751,8 @@ func runST6(w io.Writer) {
 	fmt.Fprint(w, et)
 
 	// Planner tail: the optimized set-containment plan — a mixed
-	// semijoin/γ plan — executed vectorized at every batch size must
-	// match the tuple executor byte for byte.
+	// semijoin/γ plan — must emit byte for byte the same result at
+	// every batch size as at the default one.
 	wl := workload.SetJoin{RGroups: 200, SGroups: 200, MeanSize: 5, Dist: workload.Uniform,
 		Domain: 50, ContainFraction: 0.1, Seed: 21}
 	rRel, sRel := wl.Generate()
@@ -759,18 +771,18 @@ func runST6(w io.Writer) {
 	}
 	wantJ := tp.Execute()
 	for _, size := range batchSizes() {
-		vp, err := plan.Compile(pe, dj, plan.Options{Optimize: true, Vectorize: true, BatchSize: size})
+		vp, err := plan.Compile(pe, dj, plan.Options{Optimize: true, BatchSize: size})
 		if err != nil {
-			fmt.Fprintf(w, "!! planner tail vectorized compile: %v\n", err)
+			fmt.Fprintf(w, "!! planner tail compile at batch %d: %v\n", size, err)
 			return
 		}
 		if !sameEmission(vp.Execute().Tuples(), wantJ.Tuples()) {
-			fmt.Fprintf(w, "!! vectorized mixed plan diverges at batch %d\n", size)
+			fmt.Fprintf(w, "!! mixed plan diverges at batch %d\n", size)
 			return
 		}
 	}
 	liveAfter, _, _ := rel.BatchPoolStats()
-	fmt.Fprintf(w, "\nmixed plan (engine %s) vectorized == tuple at every batch size; batch pool:\n", tp.Engine())
+	fmt.Fprintf(w, "\nmixed plan (engine %s) identical at every batch size; batch pool:\n", tp.Engine())
 	fmt.Fprintf(w, "%d batches live before the sweep, %d after — transport recycled, nothing leaked\n",
 		liveBefore, liveAfter)
 }

@@ -12,9 +12,14 @@
 //	raquery -db data.txt -ra '...' -timeout 5s   # governed: wall-clock budget
 //	raquery -db data.txt -ra '...' -max-resident 100000  # tuple budget
 //
-// With -timeout or -max-resident the query runs through the governed
-// executor: exceeding either budget aborts the query cleanly (typed
-// error on stderr, exit 1) instead of running away.
+// Plain -ra and -sa queries run on the materialized evaluator, whose
+// -trace reports each subexpression's set cardinality. -optimize and
+// -explain compile the query with the planner and run it on the
+// streaming batch executor, whose -trace reports per-operator flow
+// counts. With -timeout or -max-resident an -ra or -sa query runs
+// through the governed streaming batch executor (planned or not):
+// exceeding either budget aborts the query cleanly (typed error on
+// stderr, exit 1) instead of running away, and -trace reports flows.
 //
 // The database format is line oriented: "@R 2" declares relation R of
 // arity 2 and "R 1,2" adds the tuple (1,2); see internal/rel.ReadText.
@@ -129,7 +134,7 @@ func run(args []string, out io.Writer) error {
 		var res *rel.Relation
 		var tr *ra.Trace
 		if governed {
-			res, tr, err = ra.EvalStreamedContext(ctx, e, d, ra.StreamOptions{Limits: lim})
+			res, tr, err = ra.EvalVectorizedContext(ctx, e, d, ra.StreamOptions{Limits: lim})
 			if err != nil {
 				return err
 			}
@@ -148,7 +153,7 @@ func run(args []string, out io.Writer) error {
 		var res *rel.Relation
 		var tr *sa.Trace
 		if governed {
-			res, tr, err = sa.EvalStreamedContext(ctx, e, d, lim)
+			res, tr, err = sa.EvalVectorizedContext(ctx, e, d, 0, lim)
 			if err != nil {
 				return err
 			}

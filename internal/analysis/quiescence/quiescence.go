@@ -60,9 +60,7 @@ const (
 // exchangeMethods is the engine.Executor exchange family whose last
 // argument is a worker callback.
 var exchangeMethods = map[string]bool{
-	"StreamPartitioned":        true,
 	"StreamPartitionedBatches": true,
-	"StreamSharded":            true,
 	"StreamShardedBatches":     true,
 }
 

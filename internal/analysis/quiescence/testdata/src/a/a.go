@@ -18,15 +18,19 @@ import (
 // dictionaries a worker is handed are sealed, and the producer of a
 // live packing dictionary is responsible for re-encoding before the
 // exchange (division.DivideStream's pattern).
-func InternInWorker(ex engine.Executor, in engine.Cursor, dict *rel.Interner, sink *rel.Relation, s rel.Store) {
-	ex.StreamPartitioned(in, func(t rel.Tuple) int {
-		return int(dict.Intern(t[0])) % 2 // route runs on the router goroutine: interning is safe here
-	}, func(q int, shard engine.Cursor) {
-		for t, ok := shard.Next(); ok; t, ok = shard.Next() {
-			dict.Intern(t[0])    // want `Interner.Intern on a captured dictionary`
-			sink.Add(t)          // want `Relation.Add interning into a captured relation`
-			s.Add("out", t)      // want `Store.Add interning into a captured store`
-			_, _ = dict.ID(t[0]) // reads of a captured dictionary are legal: sealed under the snapshot contract
+func InternInWorker(ex engine.Executor, in engine.BatchCursor, dict *rel.Interner, sink *rel.Relation, s rel.Store) {
+	ex.StreamPartitionedBatches(in, func(b *rel.Batch, row int) int {
+		return int(dict.Intern(b.Value(0, row))) % 2 // route runs on the router goroutine: interning is safe here
+	}, func(q int, shard engine.BatchCursor) {
+		for b, ok := shard.NextBatch(); ok; b, ok = shard.NextBatch() {
+			for row := 0; row < b.Len(); row++ {
+				t := rel.Tuple{b.Value(0, row)}
+				dict.Intern(t[0])    // want `Interner.Intern on a captured dictionary`
+				sink.Add(t)          // want `Relation.Add interning into a captured relation`
+				s.Add("out", t)      // want `Store.Add interning into a captured store`
+				_, _ = dict.ID(t[0]) // reads of a captured dictionary are legal: sealed under the snapshot contract
+			}
+			b.Release()
 		}
 	})
 }
@@ -46,13 +50,17 @@ func IDMapInWorker(ex engine.Executor, in engine.BatchCursor, xl *rel.IDMap) {
 
 // WorkerLocal builds every dictionary inside the callback: private to
 // the worker, outside the contract.
-func WorkerLocal(ex engine.Executor, in engine.Cursor, results []*rel.Relation) {
-	ex.StreamPartitioned(in, func(t rel.Tuple) int { return 0 }, func(q int, shard engine.Cursor) {
+func WorkerLocal(ex engine.Executor, in engine.BatchCursor, results []*rel.Relation) {
+	ex.StreamPartitionedBatches(in, func(b *rel.Batch, row int) int { return 0 }, func(q int, shard engine.BatchCursor) {
 		local := rel.NewInterner()
 		out := rel.NewRelation(1)
-		for t, ok := shard.Next(); ok; t, ok = shard.Next() {
-			local.Intern(t[0])
-			out.Add(t)
+		for b, ok := shard.NextBatch(); ok; b, ok = shard.NextBatch() {
+			for row := 0; row < b.Len(); row++ {
+				v := b.Value(0, row)
+				local.Intern(v)
+				out.Add(rel.Tuple{v})
+			}
+			b.Release()
 		}
 		results[q] = out
 	})
@@ -61,22 +69,28 @@ func WorkerLocal(ex engine.Executor, in engine.Cursor, results []*rel.Relation) 
 // ShardedReads probes a captured dictionary on the pre-partitioned
 // path: no router is interning, the dictionaries are quiescent, and
 // read-only probing is the documented safe pattern.
-func ShardedReads(ex engine.Executor, shards []engine.Cursor, dict *rel.Interner, hits []int) {
-	ex.StreamSharded(shards, func(q int, shard engine.Cursor) {
-		for t, ok := shard.Next(); ok; t, ok = shard.Next() {
-			if _, ok := dict.ID(t[0]); ok {
-				hits[q]++
+func ShardedReads(ex engine.Executor, shards []engine.BatchCursor, dict *rel.Interner, hits []int) {
+	ex.StreamShardedBatches(shards, func(q int, shard engine.BatchCursor) {
+		for b, ok := shard.NextBatch(); ok; b, ok = shard.NextBatch() {
+			for row := 0; row < b.Len(); row++ {
+				if _, ok := dict.ID(b.Value(0, row)); ok {
+					hits[q]++
+				}
 			}
+			b.Release()
 		}
 	})
 }
 
 // ShardedIntern still may not mutate a captured dictionary even
 // without a router: the sibling workers share it.
-func ShardedIntern(ex engine.Executor, shards []engine.Cursor, dict *rel.Interner) {
-	ex.StreamSharded(shards, func(q int, shard engine.Cursor) {
-		for t, ok := shard.Next(); ok; t, ok = shard.Next() {
-			dict.Intern(t[0]) // want `Interner.Intern on a captured dictionary`
+func ShardedIntern(ex engine.Executor, shards []engine.BatchCursor, dict *rel.Interner) {
+	ex.StreamShardedBatches(shards, func(q int, shard engine.BatchCursor) {
+		for b, ok := shard.NextBatch(); ok; b, ok = shard.NextBatch() {
+			for row := 0; row < b.Len(); row++ {
+				dict.Intern(b.Value(0, row)) // want `Interner.Intern on a captured dictionary`
+			}
+			b.Release()
 		}
 	})
 }

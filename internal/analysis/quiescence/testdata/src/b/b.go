@@ -47,11 +47,14 @@ func MutateMaterialized(snap *rel.Snapshot, t rel.Tuple) {
 // MutateInWorker is the race the contract exists to prevent: a worker
 // goroutine writing into captured snapshot state while other workers
 // read it — both halves of the law flag it.
-func MutateInWorker(ex engine.Executor, shards []engine.Cursor, snap *rel.Snapshot) {
+func MutateInWorker(ex engine.Executor, shards []engine.BatchCursor, snap *rel.Snapshot) {
 	r := snap.Rel("R")
-	ex.StreamSharded(shards, func(q int, sh engine.Cursor) {
-		for t, ok := sh.Next(); ok; t, ok = sh.Next() {
-			r.Add(t) // want `Relation.Add interning into a captured relation` `Relation.Add mutating a published snapshot`
+	ex.StreamShardedBatches(shards, func(q int, sh engine.BatchCursor) {
+		for b, ok := sh.NextBatch(); ok; b, ok = sh.NextBatch() {
+			for row := 0; row < b.Len(); row++ {
+				r.Add(rel.Tuple{b.Value(0, row)}) // want `Relation.Add interning into a captured relation` `Relation.Add mutating a published snapshot`
+			}
+			b.Release()
 		}
 	})
 }

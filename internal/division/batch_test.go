@@ -7,32 +7,34 @@ import (
 	"radiv/internal/workload"
 )
 
-// TestDivideShardBatchesMatchesDivideShard: the vectorized shard
-// divider must qualify exactly the groups the tuple-at-a-time one
-// does, with identical read/probe counters, on randomized workloads
-// under both semantics and across batch sizes.
-func TestDivideShardBatchesMatchesDivideShard(t *testing.T) {
+// TestDivideShardBatchesMatchesHash: the batched shard divider, fed a
+// whole dividend as one shard, must qualify exactly the groups the
+// sequential Hash division returns, read and probe every row once per
+// probe, and report identical stats at every batch size, on
+// randomized workloads under both semantics.
+func TestDivideShardBatchesMatchesHash(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		r, s := workload.RandomDivision(seed).Generate()
 		dt := NewDivisorTable(s)
 		for _, sem := range []Semantics{Containment, Equality} {
-			want, wantSt := dt.DivideShard(r.Cursor(), sem)
+			want, _ := Hash{}.Divide(r, s, sem)
+			_, base := dt.DivideShardBatches(r.BatchScanSized(1), sem)
 			for _, size := range []int{1, 64, 1024} {
 				got, gotSt := dt.DivideShardBatches(r.BatchScanSized(size), sem)
-				if len(got) != len(want) {
-					t.Fatalf("seed %d %s size=%d: %d qualified, want %d", seed, sem, size, len(got), len(want))
+				if len(got) != want.Len() {
+					t.Fatalf("seed %d %s size=%d: %d qualified, want %d", seed, sem, size, len(got), want.Len())
 				}
-				for v := range want {
-					if !got[v] {
-						t.Fatalf("seed %d %s size=%d: group %v missing", seed, sem, size, v)
+				for _, tp := range want.Tuples() {
+					if !got[tp[0]] {
+						t.Fatalf("seed %d %s size=%d: group %v missing", seed, sem, size, tp[0])
 					}
 				}
-				if gotSt.TuplesRead != wantSt.TuplesRead || gotSt.Probes != wantSt.Probes {
+				if gotSt.TuplesRead != r.Len() || gotSt.Probes != 2*r.Len() {
 					t.Errorf("seed %d %s size=%d: stats read=%d probes=%d, want read=%d probes=%d",
-						seed, sem, size, gotSt.TuplesRead, gotSt.Probes, wantSt.TuplesRead, wantSt.Probes)
+						seed, sem, size, gotSt.TuplesRead, gotSt.Probes, r.Len(), 2*r.Len())
 				}
-				if gotSt.MaxMemoryTuples != wantSt.MaxMemoryTuples {
-					t.Errorf("seed %d %s size=%d: memory %d, want %d", seed, sem, size, gotSt.MaxMemoryTuples, wantSt.MaxMemoryTuples)
+				if gotSt != base {
+					t.Errorf("seed %d %s size=%d: stats %+v differ from batch 1's %+v", seed, sem, size, gotSt, base)
 				}
 			}
 		}

@@ -475,9 +475,9 @@ func (ClassicRA) Divide(r, s *rel.Relation, sem Semantics) (*rel.Relation, Stats
 }
 
 // StreamedRA evaluates the same classical RA expressions as ClassicRA
-// but through the streaming (Volcano-style) executor: pipelined
-// selections and projections, build-side-only joins, blocking
-// union/difference sinks. The quadratic product still *flows* —
+// but through the streaming executor (ra.EvalVectorizedTraced):
+// pipelined selections and projections, build-side-only joins,
+// blocking union/difference sinks. The quadratic product still *flows* —
 // Proposition 26 says it must — but it is never stored, so
 // MaxMemoryTuples reports ra.Trace.MaxResident: the executor's peak
 // held state, which stays linear on the division family while
@@ -489,7 +489,7 @@ func (StreamedRA) Name() string { return "streamed-ra" }
 
 // Divide implements Algorithm.
 func (StreamedRA) Divide(r, s *rel.Relation, sem Semantics) (*rel.Relation, Stats) {
-	res, tr := raDivide(r, s, sem, ra.EvalStreamedTraced)
+	res, tr := raDivide(r, s, sem, ra.EvalVectorizedTraced)
 	return res, Stats{
 		TuplesRead:      tr.TotalTuples,
 		MaxMemoryTuples: tr.MaxResident,

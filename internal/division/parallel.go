@@ -132,57 +132,18 @@ func NewDivisorTable(s *rel.Relation) *DivisorTable {
 	return &DivisorTable{slots: slots, need: slots.Len(), words: (slots.Len() + 63) / 64}
 }
 
-// DivideShard runs the Graefe bitmap scheme on one shard of the
-// dividend: tuples arrive as a cursor of binary (group, element)
-// pairs, groups accumulate locally by value, and the returned set
-// holds the group keys that qualify under the semantics. Correctness
-// requires the shard to hold its groups whole — every tuple of a
-// qualifying group must flow through the same call — which is exactly
-// the invariant hash partitioning on the group key establishes.
-// Concurrent calls are safe: the divisor table is read-only.
-func (dt *DivisorTable) DivideShard(shard engine.Cursor, sem Semantics) (map[rel.Value]bool, Stats) {
-	var st Stats
-	local := make(map[rel.Value]*divGroup)
-	for t, ok := shard.Next(); ok; t, ok = shard.Next() {
-		if len(t) != 2 {
-			panic(fmt.Sprintf("division: R tuple has arity %d, want 2", len(t)))
-		}
-		st.TuplesRead++
-		st.Probes++
-		g := local[t[0]]
-		if g == nil {
-			g = &divGroup{rep: t[0], seen: make([]uint64, dt.words)}
-			local[t[0]] = g
-		}
-		st.Probes++
-		if slot, ok := dt.slots.ID(t[1]); ok {
-			g.mark(slot)
-		} else {
-			g.extras++
-		}
-	}
-	st.MaxMemoryTuples = len(local) + len(local)*dt.words
-	qualified := make(map[rel.Value]bool, len(local))
-	for v, g := range local {
-		if g.hits != dt.need {
-			continue
-		}
-		if sem == Equality && g.extras > 0 {
-			continue
-		}
-		qualified[v] = true
-	}
-	return qualified, st
-}
-
-// DivideShardBatches is DivideShard at batch granularity: the shard
-// arrives as columnar batches of (group, element) ID columns, and both
-// probes run through flat per-dictionary translation caches — after
-// the first occurrence of a group or element value, a row costs two
-// array loads instead of two value-keyed map probes. Groups accumulate
-// in first-occurrence order; the returned set and stats match
-// DivideShard on the same rows exactly. Concurrent calls are safe: the
-// divisor table is read-only and the caches are call-local.
+// DivideShardBatches runs the Graefe bitmap scheme on one shard of the
+// dividend: the shard arrives as columnar batches of binary (group,
+// element) ID columns, groups accumulate locally in first-occurrence
+// order, and the returned set holds the group keys that qualify under
+// the semantics. Both probes run through flat per-dictionary
+// translation caches — after the first occurrence of a group or
+// element value, a row costs two array loads instead of two
+// value-keyed map probes. Correctness requires the shard to hold its
+// groups whole — every tuple of a qualifying group must flow through
+// the same call — which is exactly the invariant hash partitioning on
+// the group key establishes. Concurrent calls are safe: the divisor
+// table is read-only and the caches are call-local.
 func (dt *DivisorTable) DivideShardBatches(shard engine.BatchCursor, sem Semantics) (map[rel.Value]bool, Stats) {
 	var st Stats
 	var groups []*divGroup

@@ -1,18 +1,27 @@
 package engine
 
-// This file is the batch-granular side of the parallel exchange: the
-// same Volcano shapes as stream.go — router goroutine, one bounded
-// channel per worker, shard-aware pre-partitioned path, ordered merge
-// — but moving one columnar rel.Batch (up to rel.BatchCap rows) per
-// channel send instead of one tuple. A channel operation costs the
-// same whether it carries 1 row or 1024, so batching the exchange
-// divides the synchronization overhead of StreamPartitioned by three
-// orders of magnitude while keeping the in-flight buffer bounded:
-// at most workers × batchChanCap batches (plus one staging batch per
-// partition) sit between producer and consumers.
+// This file is the parallel exchange: the classic Volcano exchange
+// operator at batch granularity. A router goroutine pulls the input
+// cursor (sequentially — pull is single-consumer by contract) and
+// routes each row into its partition's staging batch, sending one
+// columnar rel.Batch (up to rel.BatchCap rows) per channel operation to
+// the partition's worker, which consumes its shard as a batch cursor
+// while the router is still producing. A channel operation costs the
+// same whether it carries 1 row or 1024, so batching divides the
+// synchronization overhead by three orders of magnitude, while bounded
+// channels give backpressure: at most workers × batchChanCap batches
+// (plus one staging batch per partition) sit between producer and
+// consumers.
 //
-// Deadlock freedom is inherited from stream.go: one partition per
-// worker, so every channel has a live consumer from the start.
+// Deadlock freedom: StreamPartitionedBatches uses exactly one
+// partition per worker, so every channel has a live consumer from the
+// start — the router can always make progress once a channel drains,
+// and workers always see their channel closed when the input is
+// exhausted. (With more partitions than workers, a bounded channel for
+// an unclaimed partition could fill while every worker waits for input
+// the router cannot deliver.) The output-side helpers, the ordered
+// merges, have no such constraint: their channels are drained by an
+// independent consumer, so producers may outnumber workers freely.
 
 import (
 	"sync"
@@ -38,14 +47,12 @@ func (c ChanBatchCursor) NextBatch() (*rel.Batch, bool) {
 	return b, ok
 }
 
-// batchChanCap is the bounded-channel capacity of the batch exchange,
-// in batches: 4 × BatchCap rows of backpressure slack per partition —
-// more rows in flight than the tuple exchange's 128, but 256× fewer
-// channel operations per row.
+// batchChanCap is the bounded-channel capacity of the exchange, in
+// batches: 4 × BatchCap rows of backpressure slack per partition.
 const batchChanCap = 4
 
-// StreamPartitionedBatches is StreamPartitioned at batch granularity:
-// a router goroutine pulls in (sequentially — pull is single-consumer
+// StreamPartitionedBatches is the routed exchange: a router goroutine
+// pulls in (sequentially — pull is single-consumer
 // by contract), assigns every row a partition with route(batch, row)
 // (called on the router goroutine, so it may intern into shared
 // dictionaries safely, and must return a value in [0, parts) for the
@@ -85,11 +92,22 @@ func (e Executor) StreamPartitionedBatches(in BatchCursor, route func(b *rel.Bat
 
 // StreamPartitionedBatchesGov is StreamPartitionedBatches under a
 // query governor (nil means ungoverned, with identical behavior).
-// The same robustness contract as StreamPartitionedGov, plus batch
-// accounting: on any early exit — consumer abandoning its shard,
-// query abort, router failure — every staging batch and every batch
-// still in flight on a channel is released before the exchange
-// returns, so no abort path can leak a pooled batch.
+// Three robustness properties hold in every mode:
+//
+//   - a work callback that returns before draining its shard does not
+//     strand the router: the worker drains and releases the remainder
+//     of its channel after work returns, so the exchange always runs
+//     to completion and joins every goroutine;
+//   - governed, the router's sends select on the governor's Done
+//     channel and a panicking worker aborts the query instead of
+//     killing the process, so an abort (cancellation, budget trip,
+//     injected fault) stops routing promptly, closes every channel,
+//     and returns after all goroutines have joined — the caller
+//     checks g.Err();
+//   - on any early exit — consumer abandoning its shard, query abort,
+//     router failure — every staging batch and every batch still in
+//     flight on a channel is released before the exchange returns, so
+//     no abort path can leak a pooled batch.
 func (e Executor) StreamPartitionedBatchesGov(g *exec.Governor, in BatchCursor, route func(b *rel.Batch, row int) int, work func(q int, shard BatchCursor)) int {
 	w := e.WorkerCount()
 	if w <= 1 {
@@ -212,8 +230,11 @@ func (e Executor) StreamShardedBatchesGov(g *exec.Governor, shards []BatchCursor
 }
 
 // OrderedMergeBatches returns a batch cursor draining the channels in
-// slice order, the batch-granular sibling of OrderedMerge. The cursor
-// must be drained to exhaustion, or producers blocked on full channels
+// slice order: all of channel 0 (until it closes), then channel 1, and
+// so on. Producers fill their own channel concurrently and close it
+// when done, so the consumer streams partition 0's results while later
+// partitions are still computing — the cursor-producing side of the
+// exchange. The cursor must be drained to exhaustion, or producers blocked on full channels
 // leak; use OrderedMergeBatchesStop when the consumer may abandon the
 // stream early.
 func OrderedMergeBatches(chans []chan *rel.Batch) BatchCursor {
@@ -272,8 +293,8 @@ const ChunkCap = 256
 
 // OrderedMergeChunks returns a tuple cursor draining channels of tuple
 // chunks in slice order, flattening each chunk in order: the emission
-// sequence is exactly the per-channel concatenation OrderedMerge would
-// produce, at 1/ChunkCap the channel operations. The cursor must be
+// sequence is the per-channel concatenation of the produced tuples, at
+// 1/ChunkCap the channel operations of a per-tuple merge. The cursor must be
 // drained to exhaustion; use OrderedMergeChunksStop when the consumer
 // may abandon the stream early.
 func OrderedMergeChunks(chans []chan []rel.Tuple) Cursor {

@@ -10,23 +10,30 @@ import (
 )
 
 // TestStreamPartitionedEarlyStopJoinsRouter: a work callback that
-// abandons its shard after one tuple used to strand the router on a
-// full channel forever; the drain-on-return contract must join every
-// goroutine even ungoverned.
+// abandons its shard after one batch would strand the router on a full
+// channel forever without the drain-on-return contract, which must
+// join every goroutine even ungoverned — here at single-row batches,
+// where the channels fill fastest.
 func TestStreamPartitionedEarlyStopJoinsRouter(t *testing.T) {
 	leakcheck.Check(t)
 	const n = 100000 // far more than the channels can buffer
-	tuples := make([]rel.Tuple, n)
-	for i := range tuples {
-		tuples[i] = rel.Ints(int64(i))
+	r := rel.NewRelation(1)
+	for i := 0; i < n; i++ {
+		r.Add(rel.Ints(int64(i)))
 	}
 	for _, workers := range []int{2, 4, 8} {
+		live, _, _ := rel.BatchPoolStats()
 		ex := Executor{Workers: workers}
-		ex.StreamPartitioned(&sliceCursor{ts: tuples}, func(t rel.Tuple) int {
-			return int(t[0].AsInt()) % ex.WorkerCount()
-		}, func(q int, shard Cursor) {
-			shard.Next() // abandon the rest
+		ex.StreamPartitionedBatches(r.BatchScanSized(1), func(b *rel.Batch, row int) int {
+			return int(b.Col(0)[row]) % ex.WorkerCount()
+		}, func(q int, shard BatchCursor) {
+			if b, ok := shard.NextBatch(); ok { // abandon the rest
+				b.Release()
+			}
 		})
+		if after, _, _ := rel.BatchPoolStats(); after != live {
+			t.Fatalf("workers=%d: %d batches leaked on early stop", workers, after-live)
+		}
 	}
 }
 
@@ -97,28 +104,34 @@ func TestStreamPartitionedGovWorkerPanicAborts(t *testing.T) {
 }
 
 // TestOrderedMergeStopCloseUnblocksProducers: producers blocked on
-// full merge channels must return once the consumer closes the merge.
+// full merge channels must return once the consumer closes the merge
+// (the leak check fails on a stranded producer), and the closed cursor
+// yields nothing more.
 func TestOrderedMergeStopCloseUnblocksProducers(t *testing.T) {
 	leakcheck.Check(t)
 	stop := NewStop()
-	chans := make([]chan rel.Tuple, 4)
+	chans := make([]chan *rel.Batch, 4)
 	for i := range chans {
-		chans[i] = make(chan rel.Tuple, 2)
-		go func(ch chan rel.Tuple) {
+		chans[i] = make(chan *rel.Batch, 2)
+		go func(ch chan *rel.Batch) {
 			defer close(ch)
 			for j := 0; j < 10000; j++ {
-				if !SendOr(ch, rel.Ints(int64(j)), stop.C()) {
+				b := rel.NewBatch(1)
+				if !SendOr(ch, b, stop.C()) {
+					b.Release()
 					return
 				}
 			}
 		}(chans[i])
 	}
-	cur := OrderedMergeStop(chans, stop)
-	if _, ok := cur.Next(); !ok {
+	cur := OrderedMergeBatchesStop(chans, stop)
+	if b, ok := cur.NextBatch(); ok {
+		b.Release()
+	} else {
 		t.Fatal("merge yielded nothing")
 	}
 	cur.Close()
-	if _, ok := cur.Next(); ok {
+	if _, ok := cur.NextBatch(); ok {
 		t.Fatal("cursor yielded after Close")
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -8,44 +9,44 @@ import (
 	"radiv/internal/rel"
 )
 
-// sliceCursor yields a fixed tuple sequence.
-type sliceCursor struct {
-	ts []rel.Tuple
-	i  int
-}
-
-func (c *sliceCursor) Next() (rel.Tuple, bool) {
-	if c.i >= len(c.ts) {
-		return nil, false
-	}
-	t := c.ts[c.i]
-	c.i++
-	return t, true
-}
-
-// TestStreamPartitionedDeliversEveryTupleOnce: every input tuple
-// reaches exactly the partition route assigned it, in input order
-// within each partition, across worker counts.
+// TestStreamPartitionedDeliversEveryTupleOnce: every row of a stored
+// relation's native batch scan reaches exactly the partition route
+// assigned it, in input order within each partition, across worker
+// counts. Nothing writes to the relation during the exchange, so its
+// dictionaries are frozen and workers may decode values while the
+// router is still routing — the read side of the snapshot contract.
 func TestStreamPartitionedDeliversEveryTupleOnce(t *testing.T) {
 	leakcheck.Check(t)
 	const n = 5000
-	tuples := make([]rel.Tuple, n)
-	for i := range tuples {
-		tuples[i] = rel.Ints(int64(i), int64(i%97))
+	r := rel.NewRelation(2)
+	for i := 0; i < n; i++ {
+		r.Add(rel.Ints(int64(i), int64(i%97)))
 	}
 	for _, workers := range []int{1, 2, 3, 8} {
+		live, _, _ := rel.BatchPoolStats()
 		ex := Executor{Workers: workers}
 		w := ex.WorkerCount()
 		got := make([][]rel.Tuple, w)
-		parts := ex.StreamPartitioned(&sliceCursor{ts: tuples}, func(t rel.Tuple) int {
-			return PartOf(uint32(t[0].AsInt()), w)
-		}, func(q int, shard Cursor) {
-			for t, ok := shard.Next(); ok; t, ok = shard.Next() {
-				got[q] = append(got[q], t)
+		var mu sync.Mutex
+		parts := ex.StreamPartitionedBatches(r.BatchScanSized(64), func(b *rel.Batch, row int) int {
+			return PartOf(uint32(b.Value(0, row).AsInt()), w)
+		}, func(q int, shard BatchCursor) {
+			var local []rel.Tuple
+			for b, ok := shard.NextBatch(); ok; b, ok = shard.NextBatch() {
+				for row := 0; row < b.Len(); row++ {
+					local = append(local, rel.Tuple{b.Value(0, row), b.Value(1, row)})
+				}
+				b.Release()
 			}
+			mu.Lock()
+			got[q] = local
+			mu.Unlock()
 		})
 		if parts != w {
 			t.Fatalf("workers=%d: got %d partitions, want %d", workers, parts, w)
+		}
+		if after, _, _ := rel.BatchPoolStats(); after != live {
+			t.Fatalf("workers=%d: %d batches leaked", workers, after-live)
 		}
 		total := 0
 		for q, ts := range got {
@@ -70,84 +71,98 @@ func TestStreamPartitionedDeliversEveryTupleOnce(t *testing.T) {
 }
 
 // TestStreamPartitionedPipelines: with bounded channels, workers must
-// start consuming before the router finishes — i.e. tuples flow, they
-// are not batched. The router produces more tuples than the total
-// channel capacity; if no worker consumed concurrently, it would
-// deadlock (and the consumed counter would stay zero at input end).
+// start consuming before the router finishes. The router produces far
+// more rows than workers × batchChanCap batches can buffer; if no
+// worker consumed concurrently, the exchange would deadlock.
 func TestStreamPartitionedPipelines(t *testing.T) {
 	leakcheck.Check(t)
 	const n = 100000 // far beyond workers × channel capacity
-	tuples := make([]rel.Tuple, n)
-	for i := range tuples {
-		tuples[i] = rel.Ints(int64(i))
+	r := rel.NewRelation(1)
+	for i := 0; i < n; i++ {
+		r.Add(rel.Ints(int64(i)))
 	}
 	var consumed atomic.Int64
 	ex := Executor{Workers: 4}
-	ex.StreamPartitioned(&sliceCursor{ts: tuples}, func(t rel.Tuple) int {
-		return PartOf(uint32(t[0].AsInt()), ex.WorkerCount())
-	}, func(q int, shard Cursor) {
-		for _, ok := shard.Next(); ok; _, ok = shard.Next() {
-			consumed.Add(1)
+	ex.StreamPartitionedBatches(r.BatchScanSized(64), func(b *rel.Batch, row int) int {
+		return PartOf(b.Col(0)[row], ex.WorkerCount())
+	}, func(q int, shard BatchCursor) {
+		for b, ok := shard.NextBatch(); ok; b, ok = shard.NextBatch() {
+			consumed.Add(int64(b.Len()))
+			b.Release()
 		}
 	})
 	if got := consumed.Load(); got != n {
-		t.Fatalf("consumed %d tuples, want %d", got, n)
+		t.Fatalf("consumed %d rows, want %d", got, n)
 	}
 }
 
 // TestOrderedMergeDrainsInOrder: the merge cursor yields channel 0's
-// tuples first, then channel 1's, regardless of producer interleaving.
+// batches first, then channel 1's, regardless of how the concurrent
+// producers interleave.
 func TestOrderedMergeDrainsInOrder(t *testing.T) {
 	leakcheck.Check(t)
-	chans := make([]chan rel.Tuple, 3)
-	for i := range chans {
-		chans[i] = make(chan rel.Tuple, 4)
+	dict := rel.NewInterner()
+	for i := int64(0); i < 3; i++ {
+		for j := int64(0); j < 3; j++ {
+			dict.Intern(rel.Int(10*i + j))
+		}
 	}
-	for i := len(chans) - 1; i >= 0; i-- { // fill out of order
-		i := i
-		go func() {
+	chans := make([]chan *rel.Batch, 3)
+	for i := range chans {
+		chans[i] = make(chan *rel.Batch, 1)
+	}
+	for i := len(chans) - 1; i >= 0; i-- { // start producers out of order
+		go func(i int) {
 			for j := 0; j < 3; j++ {
-				chans[i] <- rel.Ints(int64(i), int64(j))
+				b := rel.NewBatchSized(1, 1)
+				b.SetDict(0, dict)
+				id, _ := dict.ID(rel.Int(int64(10*i + j)))
+				b.WritableCol(0)[0] = id
+				b.SetLen(1)
+				chans[i] <- b
 			}
 			close(chans[i])
-		}()
+		}(i)
 	}
-	cur := OrderedMerge(chans)
-	var seen []rel.Tuple
-	for t, ok := cur.Next(); ok; t, ok = cur.Next() {
-		seen = append(seen, t)
+	cur := OrderedMergeBatches(chans)
+	var seen []int64
+	for b, ok := cur.NextBatch(); ok; b, ok = cur.NextBatch() {
+		seen = append(seen, b.Value(0, 0).AsInt())
+		b.Release()
 	}
 	if len(seen) != 9 {
-		t.Fatalf("merged %d tuples, want 9", len(seen))
+		t.Fatalf("merged %d batches, want 9", len(seen))
 	}
-	for i, tup := range seen {
-		if int(tup[0].AsInt()) != i/3 || int(tup[1].AsInt()) != i%3 {
-			t.Fatalf("position %d: %v, want (%d,%d)", i, tup, i/3, i%3)
+	for k, v := range seen {
+		if want := int64(10*(k/3) + k%3); v != want {
+			t.Fatalf("position %d: %d, want %d", k, v, want)
 		}
 	}
 }
 
 // TestStreamShardedRunsEveryShardOnce: the shard-aware path hands each
-// pre-partitioned cursor to work exactly once, with the right index,
-// across worker counts — including workers > shards and workers == 1.
+// pre-partitioned batch cursor to work exactly once, with the right
+// index, across worker counts — including workers > shards and
+// workers == 1.
 func TestStreamShardedRunsEveryShardOnce(t *testing.T) {
 	leakcheck.Check(t)
 	for _, workers := range []int{1, 2, 4, 8} {
 		const shards = 3
-		cursors := make([]Cursor, shards)
+		cursors := make([]BatchCursor, shards)
 		for q := range cursors {
-			cursors[q] = &sliceCursor{ts: []rel.Tuple{rel.Ints(int64(q))}}
+			cursors[q] = rel.FromRows(1, []int64{int64(q)}).BatchScan()
 		}
 		var calls [shards]atomic.Int64
 		got := make([]int64, shards)
-		n := Executor{Workers: workers}.StreamSharded(cursors, func(q int, shard Cursor) {
+		n := Executor{Workers: workers}.StreamShardedBatches(cursors, func(q int, shard BatchCursor) {
 			calls[q].Add(1)
-			tup, ok := shard.Next()
+			b, ok := shard.NextBatch()
 			if !ok {
 				t.Errorf("workers %d: shard %d empty", workers, q)
 				return
 			}
-			got[q] = tup[0].AsInt()
+			got[q] = b.Value(0, 0).AsInt()
+			b.Release()
 		})
 		if n != shards {
 			t.Fatalf("workers %d: reported %d shards, want %d", workers, n, shards)

@@ -19,9 +19,9 @@ import (
 	"radiv/internal/xra"
 )
 
-// The suite drives every governed entry point — ra/sa/xra, streamed
-// and vectorized, plus the planner — through injected failures and
-// asserts the robustness contract after each abort:
+// The suite drives every governed entry point — ra/sa/xra and the
+// planner, at batch sizes 1, 64 and 1024 — through injected failures
+// and asserts the robustness contract after each abort:
 //
 //   - exactly one typed error that wraps the injected cause,
 //   - a nil result,
@@ -33,8 +33,8 @@ var errInjected = errors.New("faultinject: injected cursor failure")
 
 // newSnapshot publishes the suite's shared database: sizes are chosen
 // so every relation survives FailAfter/CancelAt in [1,5] and so at
-// least one guard stride (64 tuples / one batch) of pulls remains
-// after any injection point — that is what makes the abort
+// least one batch boundary of pulls remains after any injection
+// point — that is what makes the abort
 // deterministic rather than watcher-scheduling dependent.
 func newSnapshot() *rel.Snapshot {
 	ep := rel.NewEpoch(rel.NewSchema(map[string]int{"R": 2, "S": 1, "T": 2}))
@@ -60,9 +60,9 @@ func fingerprint(snap *rel.Snapshot) map[string]string {
 }
 
 // arm is one governed entry point under test. zeroResident marks
-// queries that legitimately keep no resident state (the streamed diff
-// consumes its subtrahend in place and defers projection dedup to the
-// sink), so the resident-budget test skips them.
+// queries that legitimately keep no resident state (the diff consumes
+// its subtrahend in place and defers projection dedup to the sink), so
+// the resident-budget test skips them.
 type arm struct {
 	name         string
 	zeroResident bool
@@ -88,44 +88,24 @@ func arms(t *testing.T, schema rel.Schema, batchSize int) []arm {
 	}
 	xraExpr := xra.ContainmentDivision("R", "S")
 	return []arm{
-		{name: "ra/streamed", run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
-			res, _, err := ra.EvalStreamedContext(ctx, raExpr, d, ra.StreamOptions{Limits: lim})
+		{name: "ra", run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
+			res, _, err := ra.EvalVectorizedContext(ctx, raExpr, d, ra.StreamOptions{BatchSize: batchSize, Limits: lim})
 			return res, err
 		}},
-		{name: "ra/vectorized", run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
-			res, _, err := ra.EvalStreamedContext(ctx, raExpr, d, ra.StreamOptions{Vectorize: true, BatchSize: batchSize, Limits: lim})
+		{name: "ra/diff", zeroResident: true, run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
+			res, _, err := ra.EvalVectorizedContext(ctx, raExpr2, d, ra.StreamOptions{BatchSize: batchSize, Limits: lim})
 			return res, err
 		}},
-		{name: "ra/streamed/diff", zeroResident: true, run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
-			res, _, err := ra.EvalStreamedContext(ctx, raExpr2, d, ra.StreamOptions{Limits: lim})
-			return res, err
-		}},
-		{name: "sa/streamed", run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
-			res, _, err := sa.EvalStreamedContext(ctx, saExpr, d, lim)
-			return res, err
-		}},
-		{name: "sa/vectorized", run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
+		{name: "sa", run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
 			res, _, err := sa.EvalVectorizedContext(ctx, saExpr, d, batchSize, lim)
 			return res, err
 		}},
-		{name: "xra/streamed", run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
-			res, _, err := xra.EvalStreamedContext(ctx, xraExpr, d, lim)
-			return res, err
-		}},
-		{name: "xra/vectorized", run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
+		{name: "xra", run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
 			res, _, err := xra.EvalVectorizedContext(ctx, xraExpr, d, batchSize, lim)
 			return res, err
 		}},
-		{name: "plan/optimized", run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
-			p, err := plan.Compile(raExpr, d, plan.Options{Optimize: true, Limits: lim})
-			if err != nil {
-				return nil, err
-			}
-			res, _, err := p.ExecuteTracedContext(ctx)
-			return res, err
-		}},
-		{name: "plan/vectorized", run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
-			p, err := plan.Compile(raExpr, d, plan.Options{Optimize: true, Vectorize: true, BatchSize: batchSize, Limits: lim})
+		{name: "plan", run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
+			p, err := plan.Compile(raExpr, d, plan.Options{Optimize: true, BatchSize: batchSize, Limits: lim})
 			if err != nil {
 				return nil, err
 			}
@@ -160,7 +140,7 @@ func TestInjectedCursorErrorAborts(t *testing.T) {
 	leakcheck.Check(t)
 	snap := newSnapshot()
 	before := fingerprint(snap)
-	for _, batchSize := range []int{1, 64} {
+	for _, batchSize := range []int{1, 64, 1024} {
 		for _, a := range arms(t, snap.Schema(), batchSize) {
 			for _, failAfter := range []int{1, 3, 5} {
 				label := fmt.Sprintf("%s/bs=%d/failAfter=%d", a.name, batchSize, failAfter)
@@ -183,24 +163,27 @@ func TestInjectedCursorErrorAborts(t *testing.T) {
 func TestBudgetTripAborts(t *testing.T) {
 	leakcheck.Check(t)
 	snap := newSnapshot()
-	for _, a := range arms(t, snap.Schema(), 16) {
-		if a.zeroResident {
-			continue
-		}
-		live, _, _ := rel.BatchPoolStats()
-		res, err := a.run(context.Background(), snap, exec.Limits{MaxResident: 2})
-		if err == nil {
-			t.Fatalf("%s: want budget error, got nil (res=%v)", a.name, res)
-		}
-		var be *exec.BudgetError
-		if !errors.As(err, &be) {
-			t.Fatalf("%s: error %v is not a *exec.BudgetError", a.name, err)
-		}
-		if res != nil {
-			t.Fatalf("%s: budget-tripped query returned a result", a.name)
-		}
-		if after, _, _ := rel.BatchPoolStats(); after != live {
-			t.Fatalf("%s: %d pooled batches leaked on budget trip", a.name, after-live)
+	for _, bs := range []int{1, 64, 1024} {
+		for _, a := range arms(t, snap.Schema(), bs) {
+			if a.zeroResident {
+				continue
+			}
+			label := fmt.Sprintf("%s/bs=%d", a.name, bs)
+			live, _, _ := rel.BatchPoolStats()
+			res, err := a.run(context.Background(), snap, exec.Limits{MaxResident: 2})
+			if err == nil {
+				t.Fatalf("%s: want budget error, got nil (res=%v)", label, res)
+			}
+			var be *exec.BudgetError
+			if !errors.As(err, &be) {
+				t.Fatalf("%s: error %v is not a *exec.BudgetError", label, err)
+			}
+			if res != nil {
+				t.Fatalf("%s: budget-tripped query returned a result", label)
+			}
+			if after, _, _ := rel.BatchPoolStats(); after != live {
+				t.Fatalf("%s: %d pooled batches leaked on budget trip", label, after-live)
+			}
 		}
 	}
 }
@@ -212,10 +195,12 @@ func TestPreCanceledContext(t *testing.T) {
 	snap := newSnapshot()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, a := range arms(t, snap.Schema(), 64) {
-		live, _, _ := rel.BatchPoolStats()
-		res, err := a.run(ctx, snap, exec.Limits{})
-		checkAborted(t, a.name, res, err, context.Canceled, live)
+	for _, bs := range []int{1, 64, 1024} {
+		for _, a := range arms(t, snap.Schema(), bs) {
+			live, _, _ := rel.BatchPoolStats()
+			res, err := a.run(ctx, snap, exec.Limits{})
+			checkAborted(t, fmt.Sprintf("%s/bs=%d", a.name, bs), res, err, context.Canceled, live)
+		}
 	}
 }
 
@@ -224,13 +209,15 @@ func TestPreCanceledContext(t *testing.T) {
 func TestCancelMidFlight(t *testing.T) {
 	leakcheck.Check(t)
 	snap := newSnapshot()
-	for _, a := range arms(t, snap.Schema(), 32) {
-		ctx, cancel := context.WithCancel(context.Background())
-		st := faultinject.Wrap(snap, faultinject.Fault{CancelAt: 5, OnRow: cancel})
-		live, _, _ := rel.BatchPoolStats()
-		res, err := a.run(ctx, st, exec.Limits{})
-		checkAborted(t, a.name, res, err, context.Canceled, live)
-		cancel()
+	for _, bs := range []int{1, 64, 1024} {
+		for _, a := range arms(t, snap.Schema(), bs) {
+			ctx, cancel := context.WithCancel(context.Background())
+			st := faultinject.Wrap(snap, faultinject.Fault{CancelAt: 5, OnRow: cancel})
+			live, _, _ := rel.BatchPoolStats()
+			res, err := a.run(ctx, st, exec.Limits{})
+			checkAborted(t, fmt.Sprintf("%s/bs=%d", a.name, bs), res, err, context.Canceled, live)
+			cancel()
+		}
 	}
 }
 
@@ -285,13 +272,13 @@ func TestCleanRunAfterAborts(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		st := faultinject.Wrap(snap, faultinject.Fault{FailAfter: 2, Err: errInjected})
-		_, _, err := ra.EvalStreamedContext(context.Background(), e, st, ra.StreamOptions{Vectorize: true, BatchSize: 8})
+		_, _, err := ra.EvalVectorizedContext(context.Background(), e, st, ra.StreamOptions{BatchSize: 8})
 		if !errors.Is(err, errInjected) {
 			t.Fatalf("warm-up abort %d: %v", i, err)
 		}
 	}
 	want := ra.Eval(e, snap)
-	got, _, err := ra.EvalStreamedContext(context.Background(), e, snap, ra.StreamOptions{Vectorize: true, BatchSize: 8})
+	got, _, err := ra.EvalVectorizedContext(context.Background(), e, snap, ra.StreamOptions{BatchSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +288,7 @@ func TestCleanRunAfterAborts(t *testing.T) {
 }
 
 // TestCancellationLatencyWithinOneBatch pins the cancellation-latency
-// contract: on the vectorized path a cancel fired mid-scan is
+// contract: a cancel fired mid-scan is
 // observed within one batch boundary — the scan yields at most one
 // batch of rows past the cancellation point — at batch sizes 1, 64
 // and 1024. The fault store's row counter measures exactly how far
@@ -327,38 +314,12 @@ func TestCancellationLatencyWithinOneBatch(t *testing.T) {
 			Delay:      100 * time.Microsecond,
 		})
 		live, _, _ := rel.BatchPoolStats()
-		res, _, rerr := ra.EvalStreamedContext(ctx, e, st, ra.StreamOptions{Vectorize: true, BatchSize: bs})
+		res, _, rerr := ra.EvalVectorizedContext(ctx, e, st, ra.StreamOptions{BatchSize: bs})
 		checkAborted(t, fmt.Sprintf("bs=%d", bs), res, rerr, context.Canceled, live)
 		if extra := st.Rows() - cancelAt; extra < 0 || extra > bs {
 			t.Errorf("bs=%d: scan ran %d rows past the cancel; want at most one batch (%d)", bs, extra, bs)
 		}
 		cancel()
-	}
-}
-
-// TestCancellationLatencyStreamed pins the tuple path's analogous
-// bound: the streamed guard checks every guard stride (64 tuples), so
-// a cancel is observed within one stride of pulls.
-func TestCancellationLatencyStreamed(t *testing.T) {
-	leakcheck.Check(t)
-	ep := rel.NewEpoch(rel.NewSchema(map[string]int{"Big": 1}))
-	for i := 0; i < 5000; i++ {
-		ep.AddInts("Big", int64(i))
-	}
-	snap := ep.Publish()
-	e, err := parser.ParseRA("project[1](Big)", snap.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const cancelAt, stride = 100, 64
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	st := faultinject.Wrap(snap, faultinject.Fault{CancelAt: cancelAt, OnRow: cancel})
-	live, _, _ := rel.BatchPoolStats()
-	res, _, rerr := ra.EvalStreamedContext(ctx, e, st, ra.StreamOptions{})
-	checkAborted(t, "streamed", res, rerr, context.Canceled, live)
-	if extra := st.Rows() - cancelAt; extra < 0 || extra > stride {
-		t.Errorf("scan ran %d rows past the cancel; want at most one guard stride (%d)", extra, stride)
 	}
 }
 
@@ -371,7 +332,7 @@ func TestFaultStoreIsTransparent(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := faultinject.Wrap(snap, faultinject.Fault{})
-	got := ra.EvalStreamed(e, st)
+	got := ra.EvalVectorized(e, st)
 	want := ra.Eval(e, snap)
 	if got.String() != want.String() {
 		t.Fatalf("transparent wrap diverged:\n got %v\nwant %v", got, want)

@@ -15,10 +15,12 @@ import (
 // the operator corpus and for randomized division and set-join
 // workloads, the optimized plan must produce byte-identical results —
 // emission order included — to the unoptimized plan, across every
-// execution surface the plan layer dispatches to: the streamed
-// engines, the vectorized RA path, the traced path, and the sharded
-// store at shard counts 1/2/4 with worker counts 1/2/4. Run under
-// -race this doubles as the planner's parallel-safety check.
+// execution surface the plan layer dispatches to: the four engines at
+// batch sizes 1, 64 and 1024, the traced path, and the sharded store
+// at shard counts 1/2/4 with worker counts 1/2/4. The optimized trace
+// must reproduce the pinned tuple contract (contract_test.go), and the
+// result must equal the materialized ra.Eval. Run under -race this
+// doubles as the planner's parallel-safety check.
 
 // sameEmission compares two results tuple-by-tuple in emission order.
 func sameEmission(a, b *rel.Relation) error {
@@ -39,14 +41,17 @@ func sameEmission(a, b *rel.Relation) error {
 
 // checkEquivalence runs one expression over one store through every
 // optimized execution surface and compares against the unoptimized
-// baseline.
-func checkEquivalence(t *testing.T, e ra.Expr, d *rel.Database) {
+// baseline; name keys the pinned contract entry.
+func checkEquivalence(t *testing.T, name string, e ra.Expr, d *rel.Database) {
 	t.Helper()
 	base, err := plan.Compile(e, d, plan.Options{})
 	if err != nil {
 		t.Fatalf("%s: baseline compile: %v", e, err)
 	}
 	want := base.Execute()
+	if !want.Equal(ra.Eval(e, d)) {
+		t.Errorf("%s: plan result differs from the materialized evaluator", e)
+	}
 
 	opt, err := plan.Compile(e, d, plan.Options{Optimize: true})
 	if err != nil {
@@ -55,38 +60,25 @@ func checkEquivalence(t *testing.T, e ra.Expr, d *rel.Database) {
 	if err := sameEmission(want, opt.Execute()); err != nil {
 		t.Errorf("%s: optimized (engine %s): %v", e, opt.Engine(), err)
 	}
-	traced, tt := opt.ExecuteTraced()
-	if err := sameEmission(want, traced); err != nil {
-		t.Errorf("%s: optimized traced (engine %s): %v", e, opt.Engine(), err)
-	}
 
-	// The vectorized arm covers every engine the dispatch knows — the
-	// RA, SA and XRA vectorized executors and the batch-native mixed
-	// executor — and must match the tuple path byte for byte, trace
-	// shape included, at a batch size that forces mid-operator batch
-	// boundaries.
-	vec, err := plan.Compile(e, d, plan.Options{Optimize: true, Vectorize: true, BatchSize: 64})
-	if err != nil {
-		t.Fatalf("%s: vectorized compile: %v", e, err)
-	}
-	if err := sameEmission(want, vec.Execute()); err != nil {
-		t.Errorf("%s: optimized vectorized: %v", e, err)
-	}
-	vecTraced, vt := vec.ExecuteTraced()
-	if err := sameEmission(want, vecTraced); err != nil {
-		t.Errorf("%s: optimized vectorized traced (engine %s): %v", e, vec.Engine(), err)
-	}
-	if len(vt.Steps) != len(tt.Steps) {
-		t.Errorf("%s (engine %s): vectorized trace has %d steps, tuple %d", e, vec.Engine(), len(vt.Steps), len(tt.Steps))
-	} else {
-		for i := range tt.Steps {
-			if vt.Steps[i] != tt.Steps[i] {
-				t.Errorf("%s (engine %s): step %d: vectorized %+v, tuple %+v", e, vec.Engine(), i, vt.Steps[i], tt.Steps[i])
-			}
+	// The contract arm covers every engine the dispatch knows — the RA,
+	// SA and XRA executors and the mixed executor — at batch sizes
+	// that include single-row batches and mid-operator batch
+	// boundaries: the traced result and the trace must reproduce the
+	// pinned contract entry.
+	pinned := contractEntry(t, "plan/"+name)
+	for _, size := range []int{1, 64, 1024} {
+		p, err := plan.Compile(e, d, plan.Options{Optimize: true, BatchSize: size})
+		if err != nil {
+			t.Fatalf("%s: compile at batch %d: %v", e, size, err)
 		}
-	}
-	if vt.MaxResident != tt.MaxResident {
-		t.Errorf("%s (engine %s): vectorized MaxResident %d, tuple %d", e, vec.Engine(), vt.MaxResident, tt.MaxResident)
+		traced, tr := p.ExecuteTraced()
+		if err := sameEmission(want, traced); err != nil {
+			t.Errorf("%s: optimized traced (engine %s) at batch %d: %v", e, p.Engine(), size, err)
+		}
+		if got := contractTrace(traced, tr); got != pinned {
+			t.Errorf("%s (engine %s) at batch %d: contract mismatch\n got: %s\nwant: %s", name, p.Engine(), size, got, pinned)
+		}
 	}
 
 	for _, shards := range []int{1, 2, 4} {
@@ -109,7 +101,7 @@ func TestPlannerEquivalenceCorpus(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		d := setJoinDatabase(seed)
 		for _, e := range testCorpus() {
-			checkEquivalence(t, e, d)
+			checkEquivalence(t, fmt.Sprintf("corpus seed %d %s", seed, e), e, d)
 		}
 	}
 }
@@ -121,11 +113,11 @@ func TestPlannerEquivalenceCorpus(t *testing.T) {
 func TestPlannerEquivalenceDivision(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		d := workload.RandomDivision(seed).Database()
-		checkEquivalence(t, ra.DivisionExpr("R", "S"), d)
-		checkEquivalence(t, ra.EqualityDivisionExpr("R", "S"), d)
+		checkEquivalence(t, fmt.Sprintf("division seed %d", seed), ra.DivisionExpr("R", "S"), d)
+		checkEquivalence(t, fmt.Sprintf("eq-division seed %d", seed), ra.EqualityDivisionExpr("R", "S"), d)
 	}
 	empty := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 1}))
-	checkEquivalence(t, ra.DivisionExpr("R", "S"), empty)
+	checkEquivalence(t, "division empty", ra.DivisionExpr("R", "S"), empty)
 }
 
 // TestPlannerEquivalenceSetJoins sweeps the set-join idioms, whose
@@ -133,7 +125,7 @@ func TestPlannerEquivalenceDivision(t *testing.T) {
 func TestPlannerEquivalenceSetJoins(t *testing.T) {
 	for seed := int64(10); seed < 14; seed++ {
 		d := setJoinDatabase(seed)
-		checkEquivalence(t, ra.SetContainmentJoinExpr("R", "S"), d)
-		checkEquivalence(t, ra.SetEqualityJoinExpr("R", "S"), d)
+		checkEquivalence(t, fmt.Sprintf("set-containment seed %d", seed), ra.SetContainmentJoinExpr("R", "S"), d)
+		checkEquivalence(t, fmt.Sprintf("set-equality seed %d", seed), ra.SetEqualityJoinExpr("R", "S"), d)
 	}
 }

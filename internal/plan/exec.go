@@ -20,10 +20,12 @@ type Options struct {
 	// canonical emission, so optimized and unoptimized runs are
 	// byte-comparable).
 	Optimize bool
-	// Vectorize runs pure-RA plans through the vectorized executor
-	// with the given BatchSize (0 = default), as in ra.StreamOptions.
+	// Vectorize is ignored: every plan runs on the one streaming
+	// executor, whose batches are BatchSize rows.
+	//
+	// Deprecated: the field has no effect and will be removed.
 	Vectorize bool
-	// BatchSize is the vectorized batch capacity (0 = default).
+	// BatchSize is the executor's batch capacity (0 = rel.BatchCap).
 	BatchSize int
 	// Workers is the worker count for the sharded division fast path
 	// (0 = sequential).
@@ -34,17 +36,17 @@ type Options struct {
 	Limits exec.Limits
 }
 
-// Engine names which streaming executor runs the plan.
+// Engine names which algebra's streaming executor runs the plan.
 type Engine string
 
 const (
-	// EngineRA is the pure-RA streaming/vectorized executor.
+	// EngineRA is the pure-RA streaming executor.
 	EngineRA Engine = "ra"
 	// EngineSA is the semijoin-algebra streaming executor.
 	EngineSA Engine = "sa"
 	// EngineXRA is the extended-algebra streaming executor.
 	EngineXRA Engine = "xra"
-	// EngineMixed is the planner's native cursor executor, for plans
+	// EngineMixed is the planner's native batch executor, for plans
 	// mixing operators no single algebra holds.
 	EngineMixed Engine = "mixed"
 )
@@ -217,43 +219,26 @@ func (p *Plan) ExecuteTracedContext(ctx context.Context) (*rel.Relation, *Trace,
 func (p *Plan) run(g *exec.Governor) (*rel.Relation, *Trace) {
 	switch p.engine {
 	case EngineRA:
-		res, t := ra.EvalStreamedGoverned(g, p.raExpr, p.d, ra.StreamOptions{
-			Vectorize: p.opts.Vectorize, BatchSize: p.opts.BatchSize,
-		})
+		res, t := ra.EvalVectorizedGoverned(g, p.raExpr, p.d, ra.StreamOptions{BatchSize: p.opts.BatchSize})
 		tr := &Trace{MaxIntermediate: t.MaxIntermediate, TotalTuples: t.TotalTuples, MaxResident: t.MaxResident}
 		for _, s := range t.Steps {
 			tr.Steps = append(tr.Steps, Step{Label: s.Expr.String(), Size: s.Size})
 		}
 		return res, tr
 	case EngineSA:
-		var res *rel.Relation
-		var t *sa.Trace
-		if p.opts.Vectorize {
-			res, t = sa.EvalVectorizedGoverned(g, p.saExpr, p.d, p.opts.BatchSize)
-		} else {
-			res, t = sa.EvalStreamedGoverned(g, p.saExpr, p.d)
-		}
+		res, t := sa.EvalVectorizedGoverned(g, p.saExpr, p.d, p.opts.BatchSize)
 		tr := &Trace{MaxIntermediate: t.MaxIntermediate, TotalTuples: t.TotalTuples, MaxResident: t.MaxResident}
 		for _, s := range t.Steps {
 			tr.Steps = append(tr.Steps, Step{Label: s.Expr.String(), Size: s.Size})
 		}
 		return res, tr
 	case EngineXRA:
-		var res *rel.Relation
-		var t *xra.Trace
-		if p.opts.Vectorize {
-			res, t = xra.EvalVectorizedGoverned(g, p.xraExpr, p.d, p.opts.BatchSize)
-		} else {
-			res, t = xra.EvalStreamedGoverned(g, p.xraExpr, p.d)
-		}
+		res, t := xra.EvalVectorizedGoverned(g, p.xraExpr, p.d, p.opts.BatchSize)
 		tr := &Trace{MaxIntermediate: t.MaxIntermediate, TotalTuples: t.TotalTuples, MaxResident: t.MaxResident}
 		for _, s := range t.Steps {
 			tr.Steps = append(tr.Steps, Step{Label: s.Expr.String(), Size: s.Size})
 		}
 		return res, tr
-	}
-	if p.opts.Vectorize {
-		return p.runMixedVectorized(g)
 	}
 	return p.runMixed(g)
 }
@@ -292,18 +277,19 @@ func matchGammaDivision(n *Node) (rName, sName string, ok bool) {
 // --- the native mixed executor ---
 
 // runMixed executes a plan no single algebra expresses, directly on
-// the shared ra.Cursor substrate: RA operators use ra's exported
-// cursors, semijoins/antijoins use sa.NewSemijoinCursor, γ uses
-// xra.NewGammaCursor — all metered into one resident count.
+// the shared batch substrate: RA operators use ra's exported batch
+// cursors, semijoins/antijoins use sa.NewSemijoinBatchCursor, γ uses
+// xra.NewGammaBatchCursor — all metered into one resident count.
 func (p *Plan) runMixed(g *exec.Governor) (*rel.Relation, *Trace) {
 	m := ra.NewGovernedMeter(g)
-	b := &mixedBuilder{d: p.d, meter: m}
-	cur, root := b.cursor(p.root)
-	drain := m.Guard(cur)
-	out := rel.NewRelation(p.root.arity)
-	for t, ok := drain.Next(); ok; t, ok = drain.Next() {
-		out.Add(t)
+	capacity := p.opts.BatchSize
+	if capacity <= 0 {
+		capacity = rel.BatchCap
 	}
+	b := &mixedBuilder{d: p.d, meter: m, capacity: capacity}
+	cur, root := b.batches(p.root)
+	out := rel.NewRelation(p.root.arity)
+	ra.DrainBatches(m.GuardBatches(cur), out)
 	tr := &Trace{}
 	root.record(tr)
 	tr.MaxResident = m.Max()
@@ -323,107 +309,6 @@ func (c *planCountNode) record(tr *Trace) {
 		k.record(tr)
 	}
 	tr.record(c.n.String(), c.size)
-}
-
-type planCountCursor struct {
-	in   ra.Cursor
-	node *planCountNode
-}
-
-func (c *planCountCursor) Next() (rel.Tuple, bool) {
-	t, ok := c.in.Next()
-	if ok {
-		c.node.size++
-	}
-	return t, ok
-}
-
-type mixedBuilder struct {
-	d     rel.ReadStore
-	meter *ra.Meter
-}
-
-func (b *mixedBuilder) baseRel(n *Node) rel.StoredRel {
-	return rel.CheckView(b.d, n.Name, n.arity, "plan")
-}
-
-func (b *mixedBuilder) cursor(n *Node) (ra.Cursor, *planCountNode) {
-	node := &planCountNode{n: n}
-	var cur ra.Cursor
-	switch n.Kind {
-	case KRel:
-		cur = b.meter.Guard(b.baseRel(n).Scan())
-	case KUnion:
-		l, ln := b.cursor(n.Kids[0])
-		r, rn := b.cursor(n.Kids[1])
-		node.kids = []*planCountNode{ln, rn}
-		cur = ra.NewUnionSinkCursor(l, r, n.arity, b.meter)
-	case KDiff:
-		l, ln := b.cursor(n.Kids[0])
-		node.kids = []*planCountNode{ln}
-		if sub := n.Kids[1]; sub.Kind == KRel {
-			cur = ra.NewDiffCursor(l, nil, b.baseRel(sub), n.arity, b.meter)
-			node.kids = append(node.kids, &planCountNode{n: sub})
-		} else {
-			rc, rn := b.cursor(sub)
-			cur = ra.NewDiffCursor(l, rc, nil, n.arity, b.meter)
-			node.kids = append(node.kids, rn)
-		}
-	case KProject:
-		in, kn := b.cursor(n.Kids[0])
-		node.kids = []*planCountNode{kn}
-		cols := n.Cols
-		cur = ra.NewMapCursor(in, func(t rel.Tuple) rel.Tuple { return t.Project(cols) })
-	case KSelect:
-		in, kn := b.cursor(n.Kids[0])
-		node.kids = []*planCountNode{kn}
-		i, op, j := n.I, n.Op, n.J
-		cur = ra.NewFilterCursor(in, func(t rel.Tuple) bool { return op.Eval(t[i-1], t[j-1]) })
-	case KSelectConst:
-		in, kn := b.cursor(n.Kids[0])
-		node.kids = []*planCountNode{kn}
-		i, cv := n.I, n.C
-		cur = ra.NewFilterCursor(in, func(t rel.Tuple) bool { return t[i-1].Equal(cv) })
-	case KConstTag:
-		in, kn := b.cursor(n.Kids[0])
-		node.kids = []*planCountNode{kn}
-		tag := rel.Tuple{n.C}
-		cur = ra.NewMapCursor(in, func(t rel.Tuple) rel.Tuple { return t.Concat(tag) })
-	case KJoin:
-		l, ln := b.cursor(n.Kids[0])
-		node.kids = []*planCountNode{ln}
-		if len(n.Cond.EqPairs()) > 0 {
-			rc, rn := b.cursor(n.Kids[1])
-			node.kids = append(node.kids, rn)
-			cur = ra.NewHashJoinCursor(l, rc, n.Cond, b.meter)
-		} else if sub := n.Kids[1]; sub.Kind == KRel {
-			node.kids = append(node.kids, &planCountNode{n: sub})
-			cur = ra.NewLoopJoinCursor(l, nil, b.baseRel(sub), n.Cond, b.meter)
-		} else {
-			rc, rn := b.cursor(sub)
-			node.kids = append(node.kids, rn)
-			cur = ra.NewLoopJoinCursor(l, rc, nil, n.Cond, b.meter)
-		}
-	case KSemijoin, KAntijoin:
-		keep := n.Kind == KSemijoin
-		l, ln := b.cursor(n.Kids[0])
-		node.kids = []*planCountNode{ln}
-		if sub := n.Kids[1]; len(n.Cond.EqPairs()) == 0 && sub.Kind == KRel {
-			node.kids = append(node.kids, &planCountNode{n: sub})
-			cur = sa.NewSemijoinCursor(l, nil, b.baseRel(sub), n.Cond, keep, b.meter)
-		} else {
-			rc, rn := b.cursor(sub)
-			node.kids = append(node.kids, rn)
-			cur = sa.NewSemijoinCursor(l, rc, nil, n.Cond, keep, b.meter)
-		}
-	case KGamma:
-		in, kn := b.cursor(n.Kids[0])
-		node.kids = []*planCountNode{kn}
-		cur = xra.NewGammaCursor(in, n.Cols, n.CountCol, n.Kids[0].arity, mayEmitDuplicates(n.Kids[0]), b.meter)
-	default:
-		panic(fmt.Sprintf("plan: unknown kind %d", n.Kind))
-	}
-	return &planCountCursor{in: cur, node: node}, node
 }
 
 // mayEmitDuplicates mirrors xra's duplicate analysis over IR nodes:
@@ -447,31 +332,8 @@ func mayEmitDuplicates(n *Node) bool {
 	return true
 }
 
-// --- the vectorized mixed executor ---
-
-// runMixedVectorized is runMixed over columnar batches: RA operators
-// use ra's exported batch cursors, semijoins/antijoins use
-// sa.NewSemijoinBatchCursor, γ uses xra.NewGammaBatchCursor — the same
-// plan shape, strategy choices and meter accounting as the tuple mixed
-// executor, so emission and trace are byte-identical.
-func (p *Plan) runMixedVectorized(g *exec.Governor) (*rel.Relation, *Trace) {
-	m := ra.NewGovernedMeter(g)
-	capacity := p.opts.BatchSize
-	if capacity <= 0 {
-		capacity = rel.BatchCap
-	}
-	b := &mixedVecBuilder{d: p.d, meter: m, capacity: capacity}
-	cur, root := b.batches(p.root)
-	out := rel.NewRelation(p.root.arity)
-	ra.DrainBatches(m.GuardBatches(cur), out)
-	tr := &Trace{}
-	root.record(tr)
-	tr.MaxResident = m.Max()
-	return out, tr
-}
-
 // planCountBatchCursor counts rows flowing out of an operator into the
-// plan's planCountNode — the batch sibling of planCountCursor.
+// plan's planCountNode.
 type planCountBatchCursor struct {
 	in   ra.BatchCursor
 	node *planCountNode
@@ -485,17 +347,17 @@ func (c *planCountBatchCursor) NextBatch() (*rel.Batch, bool) {
 	return b, ok
 }
 
-type mixedVecBuilder struct {
+type mixedBuilder struct {
 	d        rel.ReadStore
 	meter    *ra.Meter
 	capacity int
 }
 
-func (b *mixedVecBuilder) baseRel(n *Node) rel.StoredRel {
+func (b *mixedBuilder) baseRel(n *Node) rel.StoredRel {
 	return rel.CheckView(b.d, n.Name, n.arity, "plan")
 }
 
-func (b *mixedVecBuilder) batches(n *Node) (ra.BatchCursor, *planCountNode) {
+func (b *mixedBuilder) batches(n *Node) (ra.BatchCursor, *planCountNode) {
 	node := &planCountNode{n: n}
 	var cur ra.BatchCursor
 	switch n.Kind {

@@ -5,7 +5,7 @@
 // priced by the shared cost model of internal/plan/cost, and an
 // executor that routes the rewritten plan to the cheapest existing
 // streaming engine — ra, sa or xra when the plan fits one of them, a
-// native mixed cursor plan on the same ra.Cursor substrate otherwise.
+// native mixed batch plan on the same ra batch substrate otherwise.
 //
 // The planner is the paper's dichotomy theorem made operational: a
 // query the user wrote quadratically is rewritten to a linear-flow

@@ -68,7 +68,7 @@ func TestDivisionRuleDeclinesEmptyS(t *testing.T) {
 		}
 	}
 	got := p.Execute()
-	want := ra.EvalStreamed(e, d)
+	want := ra.EvalVectorized(e, d)
 	if got.String() != want.String() {
 		t.Fatalf("empty-S division: got\n%s\nwant\n%s", got, want)
 	}

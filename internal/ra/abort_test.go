@@ -26,8 +26,7 @@ func checkVectorizedAborted(t *testing.T, name string, e ra.Expr, d rel.ReadStor
 	for _, size := range vecBatchSizes {
 		st := faultinject.Wrap(d, faultinject.Fault{FailAfter: 3, Err: errVecAbort})
 		liveBefore, _, _ := rel.BatchPoolStats()
-		res, _, err := ra.EvalStreamedContext(context.Background(), e, st,
-			ra.StreamOptions{Vectorize: true, BatchSize: size})
+		res, _, err := ra.EvalVectorizedContext(context.Background(), e, st, ra.StreamOptions{BatchSize: size})
 		if liveAfter, _, _ := rel.BatchPoolStats(); liveAfter != liveBefore {
 			t.Fatalf("%s size=%d: aborted run leaked %d batches", name, size, liveAfter-liveBefore)
 		}

@@ -31,8 +31,7 @@ const (
 	DedupAuto DedupMode = iota
 	// DedupOff never inserts the filter (PR 3's default behavior).
 	DedupOff
-	// DedupOn inserts the filter after every projection, equivalent to
-	// the legacy DedupProjections flag.
+	// DedupOn inserts the filter after every projection.
 	DedupOn
 )
 
@@ -77,7 +76,7 @@ func joinBucket(d rel.ReadStore, n *Join) float64 {
 // when the projection does not feed a probe input). The explicit
 // settings override; DedupAuto applies the measured rule.
 func dedupProjection(d rel.ReadStore, opts StreamOptions, n *Project, bucket float64) bool {
-	if opts.DedupProjections || opts.Dedup == DedupOn {
+	if opts.Dedup == DedupOn {
 		return true
 	}
 	if opts.Dedup == DedupOff {

@@ -29,7 +29,7 @@ func dedupDatabase(dups int) *rel.Database {
 // was inserted (the filter's hash set is operator state).
 func residentOf(t *testing.T, e ra.Expr, d *rel.Database, opts ra.StreamOptions) (*rel.Relation, int) {
 	t.Helper()
-	res, tr := ra.EvalStreamedTracedOpts(e, d, opts)
+	res, tr := ra.EvalVectorizedGoverned(nil, e, d, opts)
 	return res, tr.MaxResident
 }
 
@@ -42,7 +42,7 @@ func TestDedupAutoPicksFilterOnDuplicateHeavyProbe(t *testing.T) {
 	d := dedupDatabase(40)
 	e := ra.NewJoin(ra.NewProject([]int{1}, ra.R("R", 2)), ra.Eq(1, 1), ra.R("S", 2))
 	resOff, off := residentOf(t, e, d, ra.StreamOptions{Dedup: ra.DedupOff})
-	resOn, on := residentOf(t, e, d, ra.StreamOptions{DedupProjections: true})
+	resOn, on := residentOf(t, e, d, ra.StreamOptions{Dedup: ra.DedupOn})
 	resAuto, auto := residentOf(t, e, d, ra.StreamOptions{})
 	if !resOff.Equal(resOn) || !resOff.Equal(resAuto) {
 		t.Fatalf("dedup modes disagree on the result")
@@ -84,8 +84,8 @@ func TestDedupAutoSkipsFilterWhenUseless(t *testing.T) {
 
 // TestDedupExplicitOverrides pins that both explicit settings beat the
 // cost model: DedupOff on the duplicate-heavy plan keeps the filter
-// out even though the model would insert it, and DedupOn/the legacy
-// flag insert it even where the model would not.
+// out even though the model would insert it, and DedupOn inserts it
+// even where the model would not.
 func TestDedupExplicitOverrides(t *testing.T) {
 	dups := dedupDatabase(40)
 	probe := ra.NewJoin(ra.NewProject([]int{1}, ra.R("R", 2)), ra.Eq(1, 1), ra.R("S", 2))
@@ -99,8 +99,7 @@ func TestDedupExplicitOverrides(t *testing.T) {
 	sink := ra.NewProject([]int{1}, ra.R("R", 2))
 	_, deferred := residentOf(t, sink, clean, ra.StreamOptions{Dedup: ra.DedupOff})
 	_, forcedOn := residentOf(t, sink, clean, ra.StreamOptions{Dedup: ra.DedupOn})
-	_, legacy := residentOf(t, sink, clean, ra.StreamOptions{DedupProjections: true})
-	if forcedOn <= deferred || legacy != forcedOn {
-		t.Errorf("forced filter resident %d (legacy %d) not above deferred %d", forcedOn, legacy, deferred)
+	if forcedOn <= deferred {
+		t.Errorf("forced filter resident %d not above deferred %d", forcedOn, deferred)
 	}
 }

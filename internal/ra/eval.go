@@ -19,7 +19,7 @@ type Trace struct {
 	Steps []TraceStep
 	// MaxIntermediate is the maximum output cardinality over all
 	// subexpressions, including the root. In a streamed trace
-	// (EvalStreamedTraced) it is the maximum *emission* count instead:
+	// (EvalVectorizedTraced) it is the maximum *emission* count instead:
 	// dedup-deferred projections count duplicates, and stored
 	// relations consumed in place count zero, so streamed and
 	// materialized values are not like-for-like cardinalities.
@@ -30,7 +30,7 @@ type Trace struct {
 	// MaxResident is the peak number of tuples simultaneously held in
 	// operator state — hash-join build tables, union/difference sinks —
 	// across the whole plan. Only the streaming evaluator
-	// (EvalStreamedTraced) fills it; the materialized evaluator leaves
+	// (EvalVectorizedTraced) fills it; the materialized evaluator leaves
 	// it zero, since it holds every intermediate in full. The final
 	// result relation is not counted: every evaluator must hold its
 	// output, so MaxResident measures auxiliary state only.
@@ -212,9 +212,8 @@ func (v *evaluator) eval(e Expr, tr *Trace) *rel.Relation {
 }
 
 // JoinKeyer computes 64-bit hash keys over the equality columns of a
-// join condition, shared by the materialized and streaming hash joins
-// (and, exported, by the sibling algebras' semijoin and join
-// operators). Values are interned into a per-join dictionary; with at
+// join condition, shared by the materialized hash joins of all three
+// algebras (exported for sa's semijoins and xra's joins). Values are interned into a per-join dictionary; with at
 // most two equality atoms the IDs pack exactly (collision-free) into
 // the key, with more they are mixed by rel.HashIDs — collisions only
 // cost extra Cond.Holds verifications, never correctness, since every

@@ -1,17 +1,15 @@
 package ra
 
-// This file implements the streaming evaluator: a pull-based
-// (Volcano-style) executor whose operators yield one tuple at a time
-// through the Cursor interface instead of materializing every
+// This file holds the entry points and plumbing of the streaming
+// executor: a pull-based plan whose operators exchange columnar
+// rel.Batch blocks (vector.go) instead of materializing every
 // subexpression. Selections, constant selections, constant tagging and
 // projections are fully pipelined (projection defers deduplication:
 // every consumer in this algebra is either another pipelined operator
-// or a sink that deduplicates through rel.Relation.Add, so duplicate
-// tuples are consumed harmlessly). Joins materialize only their build
-// side — a hash index on interned value IDs for equi-joins, a replayed
-// scan for pure theta/cartesian joins — and stream the probe side.
-// Union and difference remain blocking sinks, as set semantics
-// requires.
+// or a sink that deduplicates, so duplicate rows are consumed
+// harmlessly). Joins materialize only their build side and stream the
+// probe side. Union and difference remain blocking sinks, as set
+// semantics requires.
 //
 // The point of the exercise is observability: the paper's dichotomy
 // (Theorem 17) is about intermediate-result *sizes*, and the
@@ -24,10 +22,10 @@ package ra
 // quadratic — the paper proves it must — but the resident footprint
 // drops to linear, because the quadratic product is never stored.
 //
-// The building blocks — Meter, OpenStream, the Cursor interface — are
-// exported so the sibling algebras (internal/sa, internal/xra) can run
-// their own streaming evaluators on the same substrate and share one
-// resident meter across a mixed plan.
+// The building blocks — Meter, OpenBatchStream, the batch operator
+// constructors — are exported so the sibling algebras (internal/sa,
+// internal/xra) and the planner run their own plans on the same
+// substrate and share one resident meter across a mixed plan.
 
 import (
 	"context"
@@ -37,60 +35,35 @@ import (
 	"radiv/internal/rel"
 )
 
-// Cursor is the pull-based tuple iterator of the streaming evaluator:
-// Next returns the next tuple and true, or (nil, false) once the
-// stream is exhausted. Yielded tuples may share storage with database
-// relations and must be treated as read-only.
-type Cursor interface {
-	Next() (rel.Tuple, bool)
-}
-
 // StreamOptions tunes the streaming executor.
 type StreamOptions struct {
-	// DedupProjections inserts a pipelined hash-set filter after every
-	// projection, so duplicate projected tuples are dropped where they
-	// arise instead of flowing downstream. Without it deduplication is
-	// deferred to the consuming sink: that keeps projection state at
-	// zero, but a projection feeding a join's probe side then replays
-	// the join's candidate scan once per duplicate probe tuple (k× the
-	// probes on keys with k source tuples). The filter is the measured
-	// time-for-memory trade of PR 3: it spends one resident tuple per
-	// distinct projected tuple to make every probe unique (see
-	// BenchmarkStreamedDedupFilter for the measurement). Setting it
-	// forces the filter on every projection, overriding Dedup.
-	DedupProjections bool
-	// Dedup selects the filter policy when DedupProjections is unset.
-	// The zero value, DedupAuto, is the cost-based default: per
-	// projection, the filter is inserted exactly when the estimated
-	// duplicate fan-in × consuming-join bucket size exceeds the
-	// resident cost (see cost.go). DedupOff restores the deferred-only
-	// behavior; DedupOn forces the filter everywhere.
+	// Dedup selects the projection dedup filter policy. The zero
+	// value, DedupAuto, is the cost-based default: per projection, the
+	// filter is inserted exactly when the estimated duplicate fan-in ×
+	// consuming-join bucket size exceeds the resident cost (see
+	// cost.go). DedupOff never inserts it; DedupOn forces it after
+	// every projection.
 	Dedup DedupMode
-	// Vectorize runs the columnar batch executor (vector.go) instead of
-	// the tuple-at-a-time one: operators exchange rel.Batch ID columns,
-	// results and traces are identical, throughput is not.
-	Vectorize bool
-	// BatchSize overrides the row capacity of the vectorized executor's
-	// batches; 0 means rel.BatchCap. Only meaningful with Vectorize.
+	// BatchSize overrides the row capacity of the executor's batches;
+	// 0 means rel.BatchCap.
 	BatchSize int
 	// Limits bounds the query's resource use (resident tuples, pooled
-	// batches). Enforced only by the governed Context entry points;
-	// the legacy panic-based entries ignore it.
+	// batches). Enforced only by the governed entry points.
 	Limits exec.Limits
 }
 
-// EvalStreamed evaluates the expression with the streaming executor
-// and returns the result relation. The result is always a fresh
-// relation owned by the caller. Like every evaluator entry point, it
-// accepts any rel.ReadStore backend; base relations are scanned in
-// insertion order, so the result sequence is identical across
-// backends holding the same data.
-func EvalStreamed(e Expr, d rel.ReadStore) *rel.Relation {
-	res, _ := EvalStreamedTraced(e, d)
+// EvalVectorized evaluates the expression with the streaming executor
+// and returns the result relation, always a fresh relation owned by
+// the caller. Like every evaluator entry point, it accepts any
+// rel.ReadStore backend; base relations are scanned in insertion
+// order, so the result sequence is identical across backends holding
+// the same data.
+func EvalVectorized(e Expr, d rel.ReadStore) *rel.Relation {
+	res, _ := EvalVectorizedTraced(e, d)
 	return res
 }
 
-// EvalStreamedTraced evaluates the expression with the streaming
+// EvalVectorizedTraced evaluates the expression with the streaming
 // executor and also returns the trace. Step sizes count the tuples
 // emitted by each operator — for dedup-deferred projections this can
 // exceed the node's set cardinality, and for stored relations consumed
@@ -98,47 +71,23 @@ func EvalStreamed(e Expr, d rel.ReadStore) *rel.Relation {
 // cartesian join) it is zero, because no tuples flow through the
 // operator graph for them. MaxResident is filled in (see Trace). The
 // expression is validated first, as in EvalTraced.
-func EvalStreamedTraced(e Expr, d rel.ReadStore) (*rel.Relation, *Trace) {
-	return EvalStreamedTracedOpts(e, d, StreamOptions{})
+func EvalVectorizedTraced(e Expr, d rel.ReadStore) (*rel.Relation, *Trace) {
+	return EvalVectorizedGoverned(nil, e, d, StreamOptions{})
 }
 
-// EvalStreamedTracedOpts is EvalStreamedTraced with explicit executor
-// options.
-func EvalStreamedTracedOpts(e Expr, d rel.ReadStore, opts StreamOptions) (*rel.Relation, *Trace) {
-	return evalStreamedGoverned(nil, e, d, opts)
-}
-
-// EvalContext is the error-returning boundary over the materialized
-// evaluator: the engine's package-prefixed panics surface as typed,
-// wrapped errors instead of unwinding into the caller. Cancellation
-// is only observed before evaluation starts — the materialized
-// evaluator has no mid-flight check points; use EvalStreamedContext
-// for cancellable execution.
-func EvalContext(ctx context.Context, e Expr, d rel.ReadStore) (res *rel.Relation, err error) {
-	defer exec.RecoverPanic(&err)
-	if ctx != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("ra: query canceled: %w", cerr)
-		}
-	}
-	return Eval(e, d), nil
-}
-
-// EvalStreamedContext is the governed streaming entry point: it
-// honors ctx cancellation and deadlines at every pull boundary,
-// enforces opts.Limits, converts internal panics into typed errors,
-// and guarantees that on error every pooled batch the evaluation
-// acquired has been released. opts.Vectorize selects the columnar
-// executor exactly as in EvalStreamedTracedOpts. On error the
-// relation and trace are nil.
-func EvalStreamedContext(ctx context.Context, e Expr, d rel.ReadStore, opts StreamOptions) (*rel.Relation, *Trace, error) {
+// EvalVectorizedContext is the governed entry point: it honors ctx
+// cancellation and deadlines at every batch boundary, enforces
+// opts.Limits, converts internal panics into typed errors, and
+// guarantees that on error every pooled batch the evaluation acquired
+// has been released. On error the relation and trace are nil.
+func EvalVectorizedContext(ctx context.Context, e Expr, d rel.ReadStore, opts StreamOptions) (*rel.Relation, *Trace, error) {
 	if verr := Validate(e); verr != nil {
 		return nil, nil, fmt.Errorf("ra: invalid expression: %w", verr)
 	}
 	res, tr, err := func() (res *rel.Relation, tr *Trace, err error) {
 		g := exec.NewGovernor(ctx, opts.Limits)
 		defer g.Recover(&err)
-		res, tr = evalStreamedGoverned(g, e, d, opts)
+		res, tr = EvalVectorizedGoverned(g, e, d, opts)
 		return res, tr, nil
 	}()
 	if err != nil {
@@ -147,28 +96,17 @@ func EvalStreamedContext(ctx context.Context, e Expr, d rel.ReadStore, opts Stre
 	return res, tr, nil
 }
 
-// EvalStreamedGoverned runs the streaming (or, per opts.Vectorize,
-// columnar) executor under a caller-supplied governor — the hook the
-// plan layer uses to share one governor across engines. The caller
-// owns the boundary: it must recover with Governor.Recover. A nil
-// governor is exactly the legacy ungoverned path.
-func EvalStreamedGoverned(g *exec.Governor, e Expr, d rel.ReadStore, opts StreamOptions) (*rel.Relation, *Trace) {
-	return evalStreamedGoverned(g, e, d, opts)
-}
-
-// evalStreamedGoverned is the shared core of the legacy and governed
-// entries: with a nil governor it is exactly the old executor (no
-// guards, no overhead); with a governor it threads it through the
-// meter so every leaf scan is wrapped in a guard cursor.
-func evalStreamedGoverned(g *exec.Governor, e Expr, d rel.ReadStore, opts StreamOptions) (*rel.Relation, *Trace) {
-	if opts.Vectorize {
-		return evalVectorizedTraced(g, e, d, opts)
-	}
+// EvalVectorizedGoverned runs the streaming executor under a
+// caller-supplied governor — the hook the plan layer uses to share one
+// governor across engines. The caller owns the boundary: it must
+// recover with Governor.Recover. A nil governor runs ungoverned: no
+// guards, no overhead, panics propagate.
+func EvalVectorizedGoverned(g *exec.Governor, e Expr, d rel.ReadStore, opts StreamOptions) (*rel.Relation, *Trace) {
 	if err := Validate(e); err != nil {
 		panic("ra: invalid expression: " + err.Error())
 	}
 	meter := &Meter{gov: g}
-	b := &streamBuilder{d: d, meter: meter, opts: opts}
+	b := &vecBuilder{d: d, meter: meter, opts: opts}
 	out := rel.NewRelationSized(e.Arity(), sinkHint(d, e))
 	var root *countNode
 	if u, ok := e.(*Union); ok {
@@ -176,26 +114,16 @@ func evalStreamedGoverned(g *exec.Governor, e Expr, d rel.ReadStore, opts Stream
 		// inputs straight into the output relation instead, so the
 		// result is built once and — per the MaxResident contract —
 		// not counted as resident.
-		var lc, rc Cursor
-		var ln, rn *countNode
-		lc, ln = b.cursor(u.L)
-		rc, rn = b.cursor(u.E)
-		lc, rc = meter.Guard(lc), meter.Guard(rc)
+		lc, ln := b.batches(u.L)
+		rc, rn := b.batches(u.E)
 		root = &countNode{e: e, kids: []*countNode{ln, rn}}
-		for t, ok := lc.Next(); ok; t, ok = lc.Next() {
-			out.Add(t)
-		}
-		for t, ok := rc.Next(); ok; t, ok = rc.Next() {
-			out.Add(t)
-		}
+		DrainBatches(meter.GuardBatches(lc), out)
+		DrainBatches(meter.GuardBatches(rc), out)
 		root.n = out.Len()
 	} else {
-		var cur Cursor
-		cur, root = b.cursor(e)
-		cur = meter.Guard(cur)
-		for t, ok := cur.Next(); ok; t, ok = cur.Next() {
-			out.Add(t)
-		}
+		var cur BatchCursor
+		cur, root = b.batches(e)
+		DrainBatches(meter.GuardBatches(cur), out)
 	}
 	tr := &Trace{}
 	root.record(tr)
@@ -208,15 +136,15 @@ func evalStreamedGoverned(g *exec.Governor, e Expr, d rel.ReadStore, opts Stream
 // relation is not counted: every evaluator must hold its output, so
 // the maximum measures only the executor's auxiliary state. A single
 // Meter may be shared across algebras (the xra evaluator threads its
-// meter through wrapped RA subplans via OpenStream), so the peak is
-// the true concurrent footprint of the mixed plan.
+// meter through wrapped RA subplans via OpenBatchStream), so the peak
+// is the true concurrent footprint of the mixed plan.
 type Meter struct {
 	cur, max int
 	gov      *exec.Governor
 }
 
 // NewGovernedMeter builds a meter bound to a query governor. Guard
-// cursors obtained from Guard/GuardBatches enforce the governor's
+// cursors obtained from GuardBatches enforce the governor's
 // cancellation and budgets against this meter's live count; a plain
 // &Meter{} is ungoverned and the guards are free passthroughs.
 func NewGovernedMeter(g *exec.Governor) *Meter { return &Meter{gov: g} }
@@ -235,17 +163,6 @@ func (m *Meter) Release(n int) { m.cur -= n }
 // Max returns the peak number of concurrently held tuples so far.
 func (m *Meter) Max() int { return m.max }
 
-// Cur returns the currently resident tuple count.
-func (m *Meter) Cur() int { return m.cur }
-
-// Governor returns the query governor the meter is bound to, or nil.
-func (m *Meter) Governor() *exec.Governor {
-	if m == nil {
-		return nil
-	}
-	return m.gov
-}
-
 // Watch registers c's held-batch cleanup with the meter's governor
 // when both exist (see rel.BatchHolder); a no-op otherwise.
 func (m *Meter) Watch(c any) {
@@ -254,50 +171,19 @@ func (m *Meter) Watch(c any) {
 	}
 }
 
-// guardStride is how many tuples a tuple-path guard lets through
-// between governor checks. Power of two; the vectorized guard checks
-// once per batch instead.
-const guardStride = 64
-
-// Guard wraps a tuple cursor with the governor check point: every
-// guardStride rows it observes cancellation and enforces the
-// resident-tuple and batch-pool budgets. With no governor the cursor
-// is returned unchanged, so ungoverned plans pay nothing. The check
-// happens before the pull, when the guard's frame holds no pooled
-// batch — the only place an abort is allowed to unwind from.
-func (m *Meter) Guard(in Cursor) Cursor {
-	if m == nil || m.gov == nil {
-		return in
-	}
-	m.gov.Watch(in)
-	return &guardCursor{in: in, g: m.gov, m: m}
-}
-
-// GuardBatches is Guard for batch cursors: one governor check per
-// batch boundary, which is the "≤ one branch per batch" the
-// cancellation-latency contract promises.
+// GuardBatches wraps a batch cursor with the governor check point:
+// at every batch boundary it observes cancellation and enforces the
+// resident-tuple and batch-pool budgets — the "≤ one branch per batch"
+// the cancellation-latency contract promises. With no governor the
+// cursor is returned unchanged, so ungoverned plans pay nothing. The
+// check happens before the pull, when the guard's frame holds no
+// pooled batch — the only place an abort is allowed to unwind from.
 func (m *Meter) GuardBatches(in rel.BatchCursor) rel.BatchCursor {
 	if m == nil || m.gov == nil {
 		return in
 	}
 	m.gov.Watch(in)
 	return &guardBatchCursor{in: in, g: m.gov, m: m}
-}
-
-type guardCursor struct {
-	in Cursor
-	g  *exec.Governor
-	m  *Meter
-	n  int
-}
-
-func (c *guardCursor) Next() (rel.Tuple, bool) {
-	if c.n&(guardStride-1) == 0 {
-		c.g.Check()
-		c.g.CheckResident(c.m.cur)
-	}
-	c.n++
-	return c.in.Next()
 }
 
 type guardBatchCursor struct {
@@ -311,36 +197,6 @@ func (c *guardBatchCursor) NextBatch() (*rel.Batch, bool) {
 	c.g.CheckResident(c.m.cur)
 	return c.in.NextBatch()
 }
-
-// Stream is a compiled streaming plan handle, the hook through which
-// the extended algebra pipelines wrapped pure-RA subexpressions: the
-// caller pulls tuples with Next and, once done, folds the plan's flow
-// counts into its own trace with EachStep. The meter passed to
-// OpenStream accumulates the subplan's resident state alongside the
-// caller's own.
-type Stream struct {
-	cur  Cursor
-	root *countNode
-}
-
-// OpenStream validates e and compiles it into a streaming plan over d,
-// charging operator state to m.
-func OpenStream(e Expr, d rel.ReadStore, m *Meter, opts StreamOptions) *Stream {
-	if err := Validate(e); err != nil {
-		panic("ra: invalid expression: " + err.Error())
-	}
-	b := &streamBuilder{d: d, meter: m, opts: opts}
-	cur, root := b.cursor(e)
-	return &Stream{cur: cur, root: root}
-}
-
-// Next implements Cursor.
-func (s *Stream) Next() (rel.Tuple, bool) { return s.cur.Next() }
-
-// EachStep visits the plan's flow counts in post-order (children
-// before parents), matching the materialized evaluator's step order.
-// Call it only after the stream is exhausted.
-func (s *Stream) EachStep(f func(e Expr, n int)) { s.root.each(f) }
 
 // countNode mirrors one occurrence of an expression node in the plan.
 // A subexpression shared between two places in the tree gets two
@@ -364,453 +220,4 @@ func (c *countNode) each(f func(Expr, int)) {
 // matching the materialized evaluator's step order.
 func (c *countNode) record(tr *Trace) {
 	c.each(func(e Expr, n int) { tr.record(e, n) })
-}
-
-// countCursor wraps an operator cursor and counts its emissions into
-// the plan's countNode.
-type countCursor struct {
-	in   Cursor
-	node *countNode
-}
-
-func (c *countCursor) Next() (rel.Tuple, bool) {
-	t, ok := c.in.Next()
-	if ok {
-		c.node.n++
-	}
-	return t, ok
-}
-
-// streamBuilder translates an expression tree into a cursor plan.
-type streamBuilder struct {
-	d     rel.ReadStore
-	meter *Meter
-	opts  StreamOptions
-	// probeBucket carries consumer context one level down the
-	// recursion: when a join builds its probe (left) input, it holds
-	// the estimated per-probe candidate scan, so a projection directly
-	// below can weigh the dedup filter (cost.go). Zero elsewhere.
-	probeBucket float64
-}
-
-// baseRel resolves a relation-name node against the store, with the
-// same arity check the materialized evaluator performs. For the
-// in-memory database the view is the stored *rel.Relation itself; a
-// sharded store routes probes and scans through its placement log.
-func (b *streamBuilder) baseRel(n *Rel) rel.StoredRel {
-	return rel.CheckView(b.d, n.Name, n.arity, "ra")
-}
-
-func (b *streamBuilder) cursor(e Expr) (Cursor, *countNode) {
-	node := &countNode{e: e}
-	var cur Cursor
-	dedup := false
-	// Consume the consumer context: it applies to this node only.
-	bucket := b.probeBucket
-	b.probeBucket = 0
-	switch n := e.(type) {
-	case *Rel:
-		cur = b.meter.Guard(b.baseRel(n).Scan())
-	case *Union:
-		l, ln := b.cursor(n.L)
-		r, rn := b.cursor(n.E)
-		node.kids = []*countNode{ln, rn}
-		cur = &unionCursor{l: l, r: r, arity: n.Arity(), meter: b.meter}
-	case *Diff:
-		l, ln := b.cursor(n.L)
-		node.kids = []*countNode{ln}
-		dc := &diffCursor{in: l, arity: n.Arity(), meter: b.meter}
-		if base, ok := n.E.(*Rel); ok {
-			// The subtrahend is a stored relation: probe it in place,
-			// holding nothing.
-			dc.right = b.baseRel(base)
-			node.kids = append(node.kids, &countNode{e: n.E})
-		} else {
-			rc, rn := b.cursor(n.E)
-			dc.buildC = rc
-			node.kids = append(node.kids, rn)
-		}
-		cur = dc
-	case *Project:
-		dedup = dedupProjection(b.d, b.opts, n, bucket)
-		in, kn := b.cursor(n.E)
-		node.kids = []*countNode{kn}
-		cols := n.Cols
-		cur = &mapCursor{in: in, f: func(t rel.Tuple) rel.Tuple { return t.Project(cols) }}
-	case *Select:
-		in, kn := b.cursor(n.E)
-		node.kids = []*countNode{kn}
-		i, op, j := n.I, n.Op, n.J
-		cur = &filterCursor{in: in, keep: func(t rel.Tuple) bool { return op.Eval(t[i-1], t[j-1]) }}
-	case *SelectConst:
-		in, kn := b.cursor(n.E)
-		node.kids = []*countNode{kn}
-		i, cv := n.I, n.C
-		cur = &filterCursor{in: in, keep: func(t rel.Tuple) bool { return t[i-1].Equal(cv) }}
-	case *ConstTag:
-		in, kn := b.cursor(n.E)
-		node.kids = []*countNode{kn}
-		tag := rel.Tuple{n.C}
-		cur = &mapCursor{in: in, f: func(t rel.Tuple) rel.Tuple { return t.Concat(tag) }}
-	case *Join:
-		b.probeBucket = joinBucket(b.d, n)
-		l, ln := b.cursor(n.L)
-		node.kids = []*countNode{ln}
-		if eqs := n.Cond.EqPairs(); len(eqs) > 0 {
-			rc, rn := b.cursor(n.E)
-			node.kids = append(node.kids, rn)
-			cur = &hashJoinCursor{left: l, buildC: rc, cond: n.Cond, eqs: eqs, meter: b.meter}
-		} else {
-			lj := &loopJoinCursor{left: l, cond: n.Cond, meter: b.meter}
-			if base, ok := n.E.(*Rel); ok {
-				// Replay the stored relation in place per probe tuple.
-				lj.base = b.baseRel(base)
-				node.kids = append(node.kids, &countNode{e: n.E})
-			} else {
-				rc, rn := b.cursor(n.E)
-				lj.buildC = rc
-				node.kids = append(node.kids, rn)
-			}
-			cur = lj
-		}
-	default:
-		panic(fmt.Sprintf("ra: unknown expression %T", e))
-	}
-	counted := &countCursor{in: cur, node: node}
-	if dedup {
-		// The filter sits outside the count, so the node's flow number
-		// still reports what the operator emitted (duplicates included)
-		// and only the downstream consumers see the deduplicated stream.
-		return &dedupCursor{in: counted, arity: e.Arity(), meter: b.meter}, node
-	}
-	return counted, node
-}
-
-// The constructors below expose the generic operator cursors to the
-// sibling algebras' streaming evaluators (internal/sa, internal/xra),
-// which differ from pure RA only in their algebra-specific operators
-// (semijoins, γ): one implementation of filtering, mapping, sinks and
-// joins serves all three executors.
-
-// NewFilterCursor streams the tuples of in that satisfy keep.
-func NewFilterCursor(in Cursor, keep func(rel.Tuple) bool) Cursor {
-	return &filterCursor{in: in, keep: keep}
-}
-
-// NewMapCursor applies f to every tuple of in (projection, constant
-// tagging); deduplication is deferred to the consuming sink.
-func NewMapCursor(in Cursor, f func(rel.Tuple) rel.Tuple) Cursor {
-	return &mapCursor{in: in, f: f}
-}
-
-// DrainInto pulls in to exhaustion into sink, charging m one tuple per
-// retained (non-duplicate) addition.
-func DrainInto(in Cursor, sink *rel.Relation, m *Meter) { drainInto(in, sink, m) }
-
-// NewUnionSinkCursor drains both inputs into one deduplicated sink and
-// streams it out, releasing the held state at exhaustion.
-func NewUnionSinkCursor(l, r Cursor, arity int, m *Meter) Cursor {
-	return &unionCursor{l: l, r: r, arity: arity, meter: m}
-}
-
-// NewDiffCursor streams left through a membership filter against the
-// subtrahend: a stored relation view is probed in place (holding
-// nothing), otherwise buildC is materialized first. Exactly one of
-// buildC and stored must be non-nil.
-func NewDiffCursor(left Cursor, buildC Cursor, stored rel.StoredRel, arity int, m *Meter) Cursor {
-	return &diffCursor{in: left, buildC: buildC, right: stored, arity: arity, meter: m}
-}
-
-// NewHashJoinCursor builds the equality-keyed hash join: the build
-// side is materialized into an interned-ID index, the left side
-// streams against it, and the full condition is verified on every
-// candidate. cond must contain at least one equality atom.
-func NewHashJoinCursor(left, build Cursor, cond Cond, m *Meter) Cursor {
-	eqs := cond.EqPairs()
-	if len(eqs) == 0 {
-		panic("ra: NewHashJoinCursor requires an equality atom")
-	}
-	return &hashJoinCursor{left: left, buildC: build, cond: cond, eqs: eqs, meter: m}
-}
-
-// NewLoopJoinCursor replays the right side per probe tuple — in place
-// when stored is set, otherwise from a buffer materialized from
-// buildC. Exactly one of buildC and stored must be non-nil.
-func NewLoopJoinCursor(left Cursor, buildC Cursor, stored rel.StoredRel, cond Cond, m *Meter) Cursor {
-	return &loopJoinCursor{left: left, buildC: buildC, base: stored, cond: cond, meter: m}
-}
-
-// filterCursor streams the tuples of its input that satisfy keep.
-type filterCursor struct {
-	in   Cursor
-	keep func(rel.Tuple) bool
-}
-
-func (c *filterCursor) Next() (rel.Tuple, bool) {
-	for {
-		t, ok := c.in.Next()
-		if !ok {
-			return nil, false
-		}
-		if c.keep(t) {
-			return t, true
-		}
-	}
-}
-
-// mapCursor applies a per-tuple transformation (projection, constant
-// tagging). Deduplication is deferred to the consuming sink.
-type mapCursor struct {
-	in Cursor
-	f  func(rel.Tuple) rel.Tuple
-}
-
-func (c *mapCursor) Next() (rel.Tuple, bool) {
-	t, ok := c.in.Next()
-	if !ok {
-		return nil, false
-	}
-	return c.f(t), true
-}
-
-// dedupCursor is the opt-in pipelined dedup filter
-// (StreamOptions.DedupProjections): it holds a hash set of the tuples
-// seen so far and passes each distinct tuple through exactly once. The
-// set is operator state — one resident tuple per distinct input — and
-// is released at exhaustion.
-type dedupCursor struct {
-	in    Cursor
-	arity int
-	meter *Meter
-	seen  *rel.Relation
-	held  int
-}
-
-func (c *dedupCursor) Next() (rel.Tuple, bool) {
-	if c.seen == nil && c.held == 0 {
-		c.seen = rel.NewRelation(c.arity)
-	}
-	for {
-		t, ok := c.in.Next()
-		if !ok {
-			c.meter.Release(c.held)
-			c.held = 0
-			c.seen = nil
-			return nil, false
-		}
-		if c.seen.Add(t) {
-			c.meter.Grow(1)
-			c.held++
-			return t, true
-		}
-	}
-}
-
-// drainInto pulls in to exhaustion into the sink relation, growing the
-// meter by one per tuple actually retained (duplicates cost nothing).
-func drainInto(in Cursor, sink *rel.Relation, m *Meter) {
-	for t, ok := in.Next(); ok; t, ok = in.Next() {
-		if sink.Add(t) {
-			m.Grow(1)
-		}
-	}
-}
-
-// unionCursor is a blocking sink: both inputs are drained into one
-// deduplicated relation, which is then streamed out. Its state is
-// released once the output is exhausted.
-type unionCursor struct {
-	l, r   Cursor
-	arity  int
-	meter  *Meter
-	opened bool
-	out    *rel.Cursor
-	held   int
-}
-
-func (c *unionCursor) Next() (rel.Tuple, bool) {
-	if !c.opened {
-		c.opened = true
-		sink := rel.NewRelation(c.arity)
-		drainInto(c.l, sink, c.meter)
-		drainInto(c.r, sink, c.meter)
-		c.held = sink.Len()
-		c.out = sink.Cursor()
-	}
-	if c.out == nil {
-		return nil, false
-	}
-	t, ok := c.out.Next()
-	if !ok {
-		// Drop the sink with its accounting, so the released tuples
-		// really are reclaimable.
-		c.meter.Release(c.held)
-		c.held = 0
-		c.out = nil
-	}
-	return t, ok
-}
-
-// diffCursor materializes its subtrahend (unless it is a stored
-// relation view, which is probed in place) and streams the left input
-// through the membership filter. Output deduplication is deferred to
-// the consuming sink, so duplicate left tuples pass through.
-type diffCursor struct {
-	in     Cursor // left input, streaming
-	buildC Cursor // right input; nil when right is a stored relation
-	arity  int
-	right  rel.StoredRel
-	meter  *Meter
-	opened bool
-	held   int
-}
-
-func (c *diffCursor) Next() (rel.Tuple, bool) {
-	if !c.opened {
-		c.opened = true
-		if c.buildC != nil {
-			sink := rel.NewRelation(c.arity)
-			drainInto(c.buildC, sink, c.meter)
-			c.held = sink.Len()
-			c.right = sink
-		}
-	}
-	for {
-		t, ok := c.in.Next()
-		if !ok {
-			c.meter.Release(c.held)
-			c.held = 0
-			c.right = nil
-			return nil, false
-		}
-		if !c.right.Contains(t) {
-			return t, true
-		}
-	}
-}
-
-// hashJoinCursor materializes the right (build) input into a hash
-// index keyed by JoinKeyer — the same interned-ID keying the
-// materialized evalJoin uses — and streams the left (probe) input
-// against it. Cond.Holds verifies the full condition — equality atoms,
-// residual atoms, hash collisions — on every candidate pair.
-type hashJoinCursor struct {
-	left   Cursor
-	buildC Cursor
-	cond   Cond
-	eqs    [][2]int
-	meter  *Meter
-
-	opened bool
-	keyer  *JoinKeyer
-	index  map[uint64][]rel.Tuple
-	held   int
-
-	cur   rel.Tuple
-	cands []rel.Tuple
-	ci    int
-}
-
-func (c *hashJoinCursor) Next() (rel.Tuple, bool) {
-	if !c.opened {
-		c.opened = true
-		c.keyer = NewJoinKeyer(c.eqs)
-		c.index = make(map[uint64][]rel.Tuple)
-		for t, ok := c.buildC.Next(); ok; t, ok = c.buildC.Next() {
-			k, _ := c.keyer.Key(t, 1)
-			c.index[k] = append(c.index[k], t)
-			c.meter.Grow(1)
-			c.held++
-		}
-	}
-	for {
-		for c.ci < len(c.cands) {
-			b := c.cands[c.ci]
-			c.ci++
-			if c.cond.Holds(c.cur, b) {
-				return c.cur.Concat(b), true
-			}
-		}
-		t, ok := c.left.Next()
-		if !ok {
-			c.meter.Release(c.held)
-			c.held = 0
-			c.index, c.cands = nil, nil
-			return nil, false
-		}
-		c.cur = t
-		c.cands, c.ci = nil, 0
-		if k, ok := c.keyer.Key(t, 0); ok {
-			c.cands = c.index[k]
-		}
-	}
-}
-
-// loopJoinCursor handles joins without equality atoms (cartesian
-// products and pure theta joins): the right input is replayed for
-// every left tuple — in place via a resettable cursor when it is a
-// stored relation view, otherwise from a materialized buffer.
-type loopJoinCursor struct {
-	left   Cursor
-	buildC Cursor        // right child; nil when base is set
-	base   rel.StoredRel // stored right relation, replayed in place
-	cond   Cond
-	meter  *Meter
-
-	opened  bool
-	right   []rel.Tuple
-	baseCur rel.TupleCursor
-	held    int
-
-	cur  rel.Tuple
-	have bool
-	ri   int
-}
-
-func (c *loopJoinCursor) Next() (rel.Tuple, bool) {
-	if !c.opened {
-		c.opened = true
-		if c.base != nil {
-			c.baseCur = c.base.Scan()
-		} else {
-			for t, ok := c.buildC.Next(); ok; t, ok = c.buildC.Next() {
-				c.right = append(c.right, t)
-				c.meter.Grow(1)
-				c.held++
-			}
-		}
-	}
-	for {
-		if !c.have {
-			t, ok := c.left.Next()
-			if !ok {
-				c.meter.Release(c.held)
-				c.held = 0
-				c.right = nil
-				return nil, false
-			}
-			c.cur, c.have, c.ri = t, true, 0
-			if c.baseCur != nil {
-				c.baseCur.Reset()
-			}
-		}
-		var b rel.Tuple
-		if c.baseCur != nil {
-			var ok bool
-			if b, ok = c.baseCur.Next(); !ok {
-				c.have = false
-				continue
-			}
-		} else {
-			if c.ri >= len(c.right) {
-				c.have = false
-				continue
-			}
-			b = c.right[c.ri]
-			c.ri++
-		}
-		if c.cond.Holds(c.cur, b) {
-			return c.cur.Concat(b), true
-		}
-	}
 }

@@ -1,38 +1,33 @@
 package ra
 
-// This file implements the vectorized executor: the same pull-based
-// plans as stream.go, but operators exchange columnar rel.Batch blocks
-// (flat uint32 ID columns, ~1024 rows each) through the BatchCursor
-// interface instead of one rel.Tuple per Next call. The per-row
-// interface call and the per-row allocation of the tuple executor are
-// amortized over a whole batch, and the hot loops — selection, dedup
-// probes, join probes, difference membership — run on interned IDs
-// through rel.IDMap translation caches: after the first occurrence of
-// a value, a probe is an array load and an integer compare.
+// This file implements the streaming executor's operators (entry
+// points and plumbing are in stream.go): operators exchange columnar
+// rel.Batch blocks (flat uint32 ID columns, ~1024 rows each) through
+// the BatchCursor interface, so the per-row interface call and the
+// per-row allocation of a tuple-at-a-time executor are amortized over
+// a whole batch, and the hot loops — selection, dedup probes, join
+// probes, difference membership — run on interned IDs through
+// rel.IDMap translation caches: after the first occurrence of a value,
+// a probe is an array load and an integer compare.
 //
-// The executor is a drop-in sibling of the tuple path: same plans,
-// same cost-based dedup decisions, same trace shape, byte-identical
-// results (order included). Resident-state accounting matches the
-// tuple executor operator for operator — build tables, sinks and
+// Resident-state accounting is per operator — build tables, sinks and
 // dedup filters grow the shared Meter by exactly the rows they hold —
 // while the batches themselves are pooled transport buffers tracked
 // separately by rel.BatchPoolStats, so the ST1–ST3 resident-memory
-// story is unchanged. (One deliberate exception: a pure-theta join
-// whose stored right side lives on a backend other than the in-memory
-// *rel.Relation is materialized — and metered — instead of replayed in
-// place, because only the in-memory relation exposes the zero-copy ID
-// columns the vectorized replay runs on.)
+// story counts operator state only. (One deliberate exception: a
+// pure-theta join whose stored right side lives on a backend other
+// than the in-memory *rel.Relation is materialized — and metered —
+// instead of replayed in place, because only the in-memory relation
+// exposes the zero-copy ID columns the replay runs on.)
 //
 // Batch ownership follows the contract in rel: a cursor's caller owns
 // the yielded batch and releases it (or passes it on); operators that
 // reshape rows write into pooled batches and release their inputs.
 
 import (
-	"context"
 	"fmt"
 	"math"
 
-	"radiv/internal/exec"
 	"radiv/internal/rel"
 )
 
@@ -40,66 +35,6 @@ import (
 // executor, re-exported from rel so the sibling algebras and the
 // engine exchange speak the same type.
 type BatchCursor = rel.BatchCursor
-
-// EvalVectorized evaluates the expression with the vectorized executor
-// and returns the result relation, always a fresh relation owned by
-// the caller. Results are byte-identical — same tuples, same insertion
-// order — to EvalStreamed on any backend holding the same data.
-func EvalVectorized(e Expr, d rel.ReadStore) *rel.Relation {
-	res, _ := EvalVectorizedTraced(e, d)
-	return res
-}
-
-// EvalVectorizedTraced is EvalVectorized with the trace: the same flow
-// counts, step order and MaxResident the tuple-at-a-time streaming
-// executor reports.
-func EvalVectorizedTraced(e Expr, d rel.ReadStore) (*rel.Relation, *Trace) {
-	return evalVectorizedTraced(nil, e, d, StreamOptions{Vectorize: true})
-}
-
-// EvalVectorizedContext is the governed vectorized entry point: the
-// columnar sibling of EvalStreamedContext (which it equals with
-// opts.Vectorize set).
-func EvalVectorizedContext(ctx context.Context, e Expr, d rel.ReadStore) (*rel.Relation, error) {
-	res, _, err := EvalStreamedContext(ctx, e, d, StreamOptions{Vectorize: true})
-	return res, err
-}
-
-// evalVectorizedTraced is the vectorized entry point behind
-// EvalStreamedTracedOpts when opts.Vectorize is set. A non-nil
-// governor threads cancellation and budget guards through every leaf
-// scan and the root drain.
-func evalVectorizedTraced(g *exec.Governor, e Expr, d rel.ReadStore, opts StreamOptions) (*rel.Relation, *Trace) {
-	if err := Validate(e); err != nil {
-		panic("ra: invalid expression: " + err.Error())
-	}
-	meter := &Meter{gov: g}
-	b := &vecBuilder{d: d, meter: meter, opts: opts}
-	out := rel.NewRelationSized(e.Arity(), sinkHint(d, e))
-	var root *countNode
-	if u, ok := e.(*Union); ok {
-		// Mirror the tuple executor's root-union special case: both
-		// inputs drain straight into the result, which is not resident.
-		var lc, rc BatchCursor
-		var ln, rn *countNode
-		lc, ln = b.batches(u.L)
-		rc, rn = b.batches(u.E)
-		lc, rc = meter.GuardBatches(lc), meter.GuardBatches(rc)
-		root = &countNode{e: e, kids: []*countNode{ln, rn}}
-		DrainBatches(lc, out)
-		DrainBatches(rc, out)
-		root.n = out.Len()
-	} else {
-		var cur BatchCursor
-		cur, root = b.batches(e)
-		cur = meter.GuardBatches(cur)
-		DrainBatches(cur, out)
-	}
-	tr := &Trace{}
-	root.record(tr)
-	tr.MaxResident = meter.Max()
-	return out, tr
-}
 
 // DrainBatches pulls in to exhaustion into the result sink, then
 // drops the sink's translation cache: the cache pins every source
@@ -128,10 +63,11 @@ func sinkHint(d rel.ReadStore, e Expr) int {
 	return int(est)
 }
 
-// vecBuilder translates an expression tree into a batch-cursor plan,
-// mirroring streamBuilder node for node (including the probe-bucket
-// context the cost-based dedup decision consumes), so both executors
-// make identical filter choices and produce identical trace shapes.
+// vecBuilder translates an expression tree into a batch-cursor plan.
+// probeBucket carries consumer context one level down the recursion:
+// when a join builds its probe (left) input, it holds the estimated
+// per-probe candidate scan, so a projection directly below can weigh
+// the dedup filter (cost.go). Zero elsewhere.
 type vecBuilder struct {
 	d           rel.ReadStore
 	meter       *Meter
@@ -249,17 +185,16 @@ func (b *vecBuilder) batches(e Expr) (BatchCursor, *countNode) {
 	}
 	counted := &countBatchCursor{in: cur, node: node}
 	if dedup {
-		// Outside the count, exactly like the tuple path: the node's
-		// flow number reports what the operator emitted, duplicates
-		// included.
+		// The filter sits outside the count, so the node's flow number
+		// still reports what the operator emitted (duplicates included)
+		// and only the downstream consumers see the deduplicated stream.
 		return &vecDedupCursor{in: counted, arity: e.Arity(), meter: b.meter}, node
 	}
 	return counted, node
 }
 
 // countBatchCursor counts rows flowing out of an operator into the
-// plan's countNode — the batch sibling of countCursor, producing the
-// same per-node flow totals.
+// plan's countNode.
 type countBatchCursor struct {
 	in   BatchCursor
 	node *countNode
@@ -420,8 +355,7 @@ func (c *vecTagCursor) NextBatch() (*rel.Batch, bool) {
 
 // vecProjectCursor is π_{cols}: a column gather — each output column
 // block-copies (possibly repeating or reordering) an input column with
-// its dictionary. Deduplication is deferred, exactly as in the tuple
-// path.
+// its dictionary. Deduplication is deferred to the consuming sink.
 type vecProjectCursor struct {
 	in   BatchCursor
 	cols []int
@@ -452,8 +386,8 @@ func (c *vecProjectCursor) NextBatch() (*rel.Batch, bool) {
 // the column-mapped variants — the sibling algebras' build tables
 // (sa's semijoin key table): rows are translated into one canonical
 // dictionary through an IDMap cache and stored in flat columns with a
-// HashIDs index — insertion order preserved, so re-emission reproduces
-// the tuple sinks' order exactly. An IDSet is owned by one operator
+// HashIDs index — insertion order preserved, so re-emission is in
+// first-insertion order. An IDSet is owned by one operator
 // and is not safe for concurrent use.
 type IDSet struct {
 	arity int
@@ -633,7 +567,7 @@ func (c *setCursor) NextBatch() (*rel.Batch, bool) {
 // vecDedupCursor is the pipelined dedup filter at batch granularity:
 // the IDSet holds one row per distinct tuple (charged to the meter,
 // released at exhaustion) and each batch is compacted to its fresh
-// rows in place of the tuple filter's per-row probe.
+// rows.
 type vecDedupCursor struct {
 	in    BatchCursor
 	arity int
@@ -670,9 +604,8 @@ func (c *vecDedupCursor) NextBatch() (*rel.Batch, bool) {
 }
 
 // vecUnionCursor is the blocking union sink: both inputs drain into
-// one IDSet, whose distinct rows then stream out in insertion order —
-// the exact emission of the tuple unionCursor — with the held state
-// released at exhaustion.
+// one IDSet, whose distinct rows then stream out in first-insertion
+// order, with the held state released at exhaustion.
 type vecUnionCursor struct {
 	l, r     BatchCursor
 	arity    int
@@ -1250,11 +1183,9 @@ func (c *vecLoopJoinCursor) NextBatch() (*rel.Batch, bool) {
 
 // The constructors below expose the generic batch-operator cursors to
 // the sibling algebras' vectorized evaluators (internal/sa,
-// internal/xra) and the planner's mixed batch executor, mirroring the
-// tuple-side constructor surface (NewFilterCursor etc.): one
-// implementation of selection, projection, sinks and joins serves
-// every vectorized executor. Column indices are 1-based, as in the
-// expression nodes.
+// internal/xra) and the planner's mixed executor: one implementation
+// of selection, projection, sinks and joins serves every executor.
+// Column indices are 1-based, as in the expression nodes.
 
 // NewSelectBatchCursor streams σ_{i op j} over batches (columns
 // 1-based).
@@ -1273,8 +1204,7 @@ func NewConstTagBatchCursor(in BatchCursor, c rel.Value) BatchCursor {
 }
 
 // NewProjectBatchCursor streams π_{cols} over batches (cols 1-based);
-// deduplication is deferred to the consuming sink, as in the tuple
-// path.
+// deduplication is deferred to the consuming sink.
 func NewProjectBatchCursor(in BatchCursor, cols []int) BatchCursor {
 	return &vecProjectCursor{in: in, cols: cols}
 }
@@ -1289,7 +1219,7 @@ func NewUnionSinkBatchCursor(l, r BatchCursor, arity int, m *Meter, capacity int
 // NewDiffBatchCursor streams left through a membership filter against
 // the subtrahend: a stored relation is probed in place (holding
 // nothing), otherwise build is materialized first. Exactly one of
-// build and stored must be non-nil, as in NewDiffCursor.
+// build and stored must be non-nil.
 func NewDiffBatchCursor(left, build BatchCursor, stored rel.StoredRel, arity int, m *Meter) BatchCursor {
 	return &vecDiffCursor{in: left, buildC: build, stored: stored, arity: arity, meter: m}
 }
@@ -1317,8 +1247,7 @@ func NewLoopJoinBatchCursor(left, build BatchCursor, stored rel.StoredRel, cond 
 	return c
 }
 
-// BatchStream is the batch sibling of Stream: a compiled vectorized
-// plan handle through which the extended algebra pipelines wrapped
+// BatchStream is a compiled streaming plan handle through which the extended algebra pipelines wrapped
 // pure-RA subexpressions batch-natively. The caller pulls batches with
 // NextBatch (owning each yielded batch) and, once done, folds the
 // plan's flow counts into its own trace with EachStep.
@@ -1329,9 +1258,8 @@ type BatchStream struct {
 
 // OpenBatchStream validates e and compiles it into a vectorized plan
 // over d, charging operator state to m. opts.BatchSize sets the batch
-// capacity (0 = rel.BatchCap); the dedup decisions are the same ones
-// OpenStream makes for the same options, so tuple and batch streams of
-// one expression have identical trace shapes.
+// capacity (0 = rel.BatchCap); opts.Dedup selects the projection
+// filter policy exactly as in EvalVectorizedGoverned.
 func OpenBatchStream(e Expr, d rel.ReadStore, m *Meter, opts StreamOptions) *BatchStream {
 	if err := Validate(e); err != nil {
 		panic("ra: invalid expression: " + err.Error())
@@ -1345,6 +1273,6 @@ func OpenBatchStream(e Expr, d rel.ReadStore, m *Meter, opts StreamOptions) *Bat
 func (s *BatchStream) NextBatch() (*rel.Batch, bool) { return s.cur.NextBatch() }
 
 // EachStep visits the plan's flow counts in post-order (children
-// before parents), matching the tuple Stream's step order. Call it
+// before parents), matching the materialized evaluator's step order. Call it
 // only after the stream is exhausted.
 func (s *BatchStream) EachStep(f func(e Expr, n int)) { s.root.each(f) }

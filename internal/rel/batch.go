@@ -271,8 +271,8 @@ type BatchScannerSized interface {
 }
 
 // NextCursor is the minimal tuple iterator the adapters consume; it is
-// structurally identical to ra.Cursor and engine.Cursor, so cursors
-// from any layer satisfy it without wrapping.
+// structurally identical to engine.Cursor, so cursors from any layer
+// satisfy it without wrapping.
 type NextCursor interface {
 	Next() (Tuple, bool)
 }

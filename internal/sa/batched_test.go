@@ -9,13 +9,13 @@ import (
 	"radiv/internal/workload"
 )
 
-// TestStreamedOnBatchedStore is the batch↔tuple adapter-equivalence
-// suite for the semijoin algebra: the streaming evaluator runs over a
-// store whose every scan is routed through the columnar batch adapters
-// (tuple → rel.Batch → tuple), at batch sizes 1, 2 and 1024, and must
-// emit exactly what it emits on the bare store — same tuples, same
-// order. Plans cover the algebra-specific operators (semijoin,
-// antijoin, theta conditions) on top of the shared RA substrate.
+// TestStreamedOnBatchedStore is the adapter suite for the semijoin
+// algebra: the streaming executor runs over a store whose every scan
+// is routed through the columnar batch adapters (tuple → rel.Batch →
+// tuple → rel.Batch), at batch sizes 1, 64 and 1024, and must emit
+// exactly the pinned bare-store contract — same tuples, same order.
+// Plans cover the algebra-specific operators (semijoin, antijoin,
+// theta conditions) on top of the shared RA substrate.
 func TestStreamedOnBatchedStore(t *testing.T) {
 	corpus := []struct {
 		name string
@@ -32,18 +32,7 @@ func TestStreamedOnBatchedStore(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		d := setJoinDatabase(seed)
 		for _, c := range corpus {
-			want := EvalStreamed(c.e, d).Tuples()
-			for _, size := range []int{1, 2, 1024} {
-				got := EvalStreamed(c.e, rel.Batched(d, size)).Tuples()
-				if len(got) != len(want) {
-					t.Fatalf("%s seed %d size=%d: %d tuples, want %d", c.name, seed, size, len(got), len(want))
-				}
-				for i := range want {
-					if !want[i].Equal(got[i]) {
-						t.Fatalf("%s seed %d size=%d: tuple %d is %v, want %v", c.name, seed, size, i, got[i], want[i])
-					}
-				}
-			}
+			checkBatchedStore(t, fmt.Sprintf("batched %s seed %d", c.name, seed), c.e, d)
 		}
 	}
 }
@@ -54,18 +43,19 @@ func TestBatchedStoreRandomizedDivisionFamily(t *testing.T) {
 	e := NewProject([]int{1}, NewAntijoin(R("R", 2), ra.Eq(2, 1), R("S", 1)))
 	for seed := int64(0); seed < 10; seed++ {
 		d := workload.RandomDivision(seed).Database()
-		want := EvalStreamed(e, d).Tuples()
-		for _, size := range []int{1, 2, 1024} {
-			got := EvalStreamed(e, rel.Batched(d, size)).Tuples()
-			if len(got) != len(want) {
-				t.Fatalf("seed %d size=%d: %d tuples, want %d", seed, size, len(got), len(want))
-			}
-			for i := range want {
-				if !want[i].Equal(got[i]) {
-					t.Fatalf("seed %d size=%d: tuple %d is %v, want %v", seed, size, i, got[i], want[i])
-				}
-			}
+		checkBatchedStore(t, fmt.Sprintf("batched division-antijoin seed %d", seed), e, d)
+	}
+}
+
+// checkBatchedStore runs e over rel.Batched(d, size) at executor batch
+// size size, for every sweep size, against the pinned emission.
+func checkBatchedStore(t *testing.T, key string, e Expr, d rel.Store) {
+	t.Helper()
+	want := contractEntry(t, "sa/"+key)
+	for _, size := range vecBatchSizes {
+		res, _ := EvalVectorizedTracedSized(e, rel.Batched(d, size), size)
+		if got := contractResult(res); got != want {
+			t.Errorf("%s size=%d: emission %s, want %s", key, size, got, want)
 		}
 	}
-	_ = fmt.Sprint
 }

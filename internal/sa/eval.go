@@ -19,7 +19,7 @@ type Trace struct {
 	// MaxResident is the peak number of tuples simultaneously held in
 	// operator state — semijoin build indexes, union/difference sinks —
 	// across the whole plan. Only the streaming evaluator
-	// (EvalStreamedTraced) fills it; the materialized evaluator leaves
+	// (EvalVectorizedTraced) fills it; the materialized evaluator leaves
 	// it zero, since it holds every intermediate in full. The final
 	// result relation is not counted, exactly as in ra.Trace.
 	MaxResident int

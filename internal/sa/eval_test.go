@@ -30,7 +30,7 @@ func TestEvalResultOwnership(t *testing.T) {
 			res, _ := EvalTraced(e, d)
 			return res
 		}},
-		{"EvalStreamed", EvalStreamed},
+		{"EvalVectorized", EvalVectorized},
 	}
 	for _, ev := range evaluators {
 		d := build()
@@ -96,7 +96,7 @@ func TestEvalPanicsWithPrefixOnInvalid(t *testing.T) {
 		run  func()
 	}{
 		{"Eval", func() { Eval(bad, d) }},
-		{"EvalStreamed", func() { EvalStreamed(bad, d) }},
+		{"EvalVectorized", func() { EvalVectorized(bad, d) }},
 	} {
 		func() {
 			defer func() {

@@ -1,13 +1,12 @@
 package sa
 
-// This file implements the vectorized executor for the semijoin
-// algebra: the same cursor plans as stream.go, but operators exchange
-// columnar rel.Batch blocks through ra's exported batch surface
-// (ScanBatches, the batch operator constructors, FilterBatch, IDSet,
-// ColStore). The generic operators — selection, constant selection,
-// tagging, projection, union, difference — are ra's batch cursors
-// verbatim; what this file adds are the algebra-specific ones, the
-// semijoin and antijoin:
+// This file implements the streaming executor for the semijoin
+// algebra: operators exchange columnar rel.Batch blocks through ra's
+// exported batch surface (ScanBatches, the batch operator
+// constructors, FilterBatch, IDSet, ColStore). The generic operators —
+// selection, constant selection, tagging, projection, union,
+// difference — are ra's batch cursors verbatim; what this file adds
+// are the algebra-specific ones, the semijoin and antijoin:
 //
 //   - pure-equality conditions build a distinct-key table on interned
 //     IDs (ra.IDSet keyed through the equality columns), so resident
@@ -19,15 +18,19 @@ package sa
 //   - theta-only conditions replay the right side per probe row — in
 //     place over the in-memory relation's ID columns (nothing held),
 //     otherwise from a materialized, metered columnar copy (the same
-//     deliberate resident-parity exception ra's vectorized theta join
-//     documents).
+//     deliberate exception ra's theta join documents).
 //
 // In every strategy the probe side streams through selection-vector
-// compaction (ra.FilterBatch), so emission order — and with it the
-// byte-identity and trace-parity contracts of the streaming executor —
-// is preserved exactly. Meter accounting matches the tuple cursors
-// operator for operator: distinct key rows, full build rows, or
-// nothing, released at probe exhaustion.
+// compaction (ra.FilterBatch), so emission order is the probe side's.
+// Meter accounting is per strategy: distinct key rows, full build
+// rows, or nothing, released at probe exhaustion.
+//
+// The paper's point about SA is that every operator's output is
+// bounded by one of its inputs, so the *flow* is linear by
+// construction. Streaming sharpens that into a resident-memory
+// statement: the executor holds only build-side key sets and sinks, so
+// Trace.MaxResident stays linear in the database (experiment ST2), the
+// memory-side counterpart of the syntactic linearity of Definition 2.
 
 import (
 	"context"
@@ -38,17 +41,20 @@ import (
 	"radiv/internal/rel"
 )
 
-// EvalVectorized evaluates the expression with the vectorized executor
+// EvalVectorized evaluates the expression with the streaming executor
 // and returns the result relation, always a fresh relation owned by
-// the caller. Results are byte-identical — same tuples, same insertion
-// order — to EvalStreamed on any backend holding the same data.
+// the caller.
 func EvalVectorized(e Expr, d rel.ReadStore) *rel.Relation {
 	res, _ := EvalVectorizedTraced(e, d)
 	return res
 }
 
-// EvalVectorizedTraced is EvalVectorized with the trace: the same flow
-// counts, step order and MaxResident EvalStreamedTraced reports.
+// EvalVectorizedTraced is EvalVectorized with the trace. Step sizes
+// count the tuples emitted by each operator — dedup-deferred
+// projections can exceed the node's set cardinality, and stored
+// relations consumed in place (the subtrahend of a difference, the
+// replayed side of a θ-semijoin) count zero. MaxResident is filled in
+// (see Trace). The expression is validated first, as in EvalTraced.
 func EvalVectorizedTraced(e Expr, d rel.ReadStore) (*rel.Relation, *Trace) {
 	return EvalVectorizedTracedSized(e, d, 0)
 }
@@ -62,9 +68,11 @@ func EvalVectorizedTracedSized(e Expr, d rel.ReadStore, batchSize int) (*rel.Rel
 	return evalVectorizedMetered(&ra.Meter{}, e, d, batchSize)
 }
 
-// EvalVectorizedContext is the governed vectorized entry point: the
-// columnar sibling of EvalStreamedContext, at an explicit batch row
-// capacity (0 means rel.BatchCap).
+// EvalVectorizedContext is the governed entry point, at an explicit
+// batch row capacity (0 means rel.BatchCap): ctx cancellation and lim
+// budgets are enforced at every batch boundary, internal panics become
+// typed errors, and on error every pooled batch the evaluation
+// acquired has been released.
 func EvalVectorizedContext(ctx context.Context, e Expr, d rel.ReadStore, batchSize int, lim exec.Limits) (*rel.Relation, *Trace, error) {
 	if verr := Validate(e); verr != nil {
 		return nil, nil, fmt.Errorf("sa: invalid expression: %w", verr)
@@ -81,10 +89,10 @@ func EvalVectorizedContext(ctx context.Context, e Expr, d rel.ReadStore, batchSi
 	return res, tr, nil
 }
 
-// EvalVectorizedGoverned runs the vectorized executor under a caller-
+// EvalVectorizedGoverned runs the streaming executor under a caller-
 // supplied governor (the plan layer's shared-governor hook). The
 // caller owns the boundary: it must recover with Governor.Recover. A
-// nil governor is exactly the legacy ungoverned path.
+// nil governor runs ungoverned.
 func EvalVectorizedGoverned(g *exec.Governor, e Expr, d rel.ReadStore, batchSize int) (*rel.Relation, *Trace) {
 	if err := Validate(e); err != nil {
 		panic("sa: invalid expression: " + err.Error())
@@ -92,8 +100,9 @@ func EvalVectorizedGoverned(g *exec.Governor, e Expr, d rel.ReadStore, batchSize
 	return evalVectorizedMetered(ra.NewGovernedMeter(g), e, d, batchSize)
 }
 
-// evalVectorizedMetered is the vectorized executor core shared by the
-// legacy and governed entries.
+// evalVectorizedMetered is the executor core shared by every entry
+// point; a governed meter threads guards through every leaf scan and
+// the root drain.
 func evalVectorizedMetered(meter *ra.Meter, e Expr, d rel.ReadStore, batchSize int) (*rel.Relation, *Trace) {
 	capacity := batchSize
 	if capacity <= 0 {
@@ -103,8 +112,10 @@ func evalVectorizedMetered(meter *ra.Meter, e Expr, d rel.ReadStore, batchSize i
 	out := rel.NewRelation(e.Arity())
 	var root *saCountNode
 	if u, ok := e.(*Union); ok {
-		// Mirror the tuple executor's root-union special case: both
-		// inputs drain straight into the result, which is not resident.
+		// A root union's sink would be the result itself: drain both
+		// inputs straight into the output relation, so the result is
+		// built once and — per the MaxResident contract — not counted
+		// as resident.
 		lc, ln := b.batches(u.L)
 		rc, rn := b.batches(u.E)
 		root = &saCountNode{e: e, kids: []*saCountNode{ln, rn}}
@@ -122,8 +133,25 @@ func evalVectorizedMetered(meter *ra.Meter, e Expr, d rel.ReadStore, batchSize i
 	return out, tr
 }
 
+// saCountNode mirrors one occurrence of an expression node in the
+// plan, collecting its emission count for the trace.
+type saCountNode struct {
+	e    Expr
+	n    int
+	kids []*saCountNode
+}
+
+// record appends the subtree's steps in post-order, matching the
+// materialized evaluator's step order.
+func (c *saCountNode) record(tr *Trace) {
+	for _, k := range c.kids {
+		k.record(tr)
+	}
+	tr.record(c.e, c.n)
+}
+
 // saCountBatchCursor counts rows flowing out of an operator into the
-// plan's saCountNode — the batch sibling of saCountCursor.
+// plan's saCountNode.
 type saCountBatchCursor struct {
 	in   ra.BatchCursor
 	node *saCountNode
@@ -138,8 +166,7 @@ func (c *saCountBatchCursor) NextBatch() (*rel.Batch, bool) {
 }
 
 // vecBuilder translates an SA expression tree into a batch-cursor
-// plan, mirroring streamBuilder node for node so both executors
-// produce identical emission and trace shapes.
+// plan.
 type vecBuilder struct {
 	d        rel.ReadStore
 	meter    *ra.Meter
@@ -200,9 +227,12 @@ func (b *vecBuilder) batches(e Expr) (ra.BatchCursor, *saCountNode) {
 	return &saCountBatchCursor{in: cur, node: node}, node
 }
 
-// semijoin builds the batch plan for l ⋉θ r (keep) or l ▷θ r (!keep),
-// choosing the same strategy streamBuilder.semijoin does for the same
-// condition shape.
+// semijoin builds the batch plan for l ⋉θ r (keep) or l ▷θ r (!keep).
+// With equality atoms the right side is drained into a hash table on
+// interned IDs (NewSemijoinBatchCursor picks key-only compaction for
+// pure-equality conditions); without them the right side is replayed
+// per probe row — in place when it is a stored relation, else from a
+// materialized copy.
 func (b *vecBuilder) semijoin(l Expr, cond ra.Cond, r Expr, keep bool) (ra.BatchCursor, []*saCountNode) {
 	lc, ln := b.batches(l)
 	kids := []*saCountNode{ln}
@@ -221,10 +251,10 @@ func (b *vecBuilder) semijoin(l Expr, cond ra.Cond, r Expr, keep bool) (ra.Batch
 	return NewSemijoinBatchCursor(lc, rc, nil, cond, keep, b.meter, b.capacity), kids
 }
 
-// NewSemijoinBatchCursor builds a vectorized semijoin (keep) or
-// antijoin (!keep) cursor — the batch-native counterpart of
-// NewSemijoinCursor, with the same argument contract: left streams as
-// the probe side, and the build side is either a batch cursor or — for
+// NewSemijoinBatchCursor builds a streaming semijoin (keep) or
+// antijoin (!keep) cursor for external plan builders (internal/plan's
+// mixed executor) and this package's own plans: left streams as the
+// probe side, and the build side is either a batch cursor or — for
 // θ-only conditions — a stored relation replayed in place. capacity
 // bounds the output batches of the replay materialization (0 means
 // rel.BatchCap). cond must have at least one atom and exactly one of
@@ -274,8 +304,7 @@ func NewSemijoinBatchCursor(left, build ra.BatchCursor, stored rel.StoredRel, co
 // is IDSet.ContainsCols through the equality columns; a condition with
 // residual atoms stores the full build rows in per-column ID stores
 // indexed by ra.PackKey, verifying equality on raw IDs and residual
-// atoms on decoded values per candidate, exactly as the tuple
-// hashSemijoinCursor does.
+// atoms on decoded values per candidate.
 type vecHashSemijoinCursor struct {
 	left      ra.BatchCursor
 	buildC    ra.BatchCursor

@@ -83,7 +83,7 @@ func arityOf(db Source, name string, want int) {
 // materialized once into a shared read-only dictionary
 // (division.DivisorTable), each shard runs the Graefe bitmap scheme
 // over its local dividend cursor on the worker pool
-// (engine.StreamSharded), and the merge emits qualifying groups in the
+// (engine.StreamShardedBatches), and the merge emits qualifying groups in the
 // dividend router's gid order — the sequential Hash emission order, so
 // the result is byte-identical to division.Hash on the merged
 // relations at every shard count. workers <= 0 means one per CPU.
@@ -94,10 +94,14 @@ func Divide(db Source, rName, sName string, sem division.Semantics, workers int)
 // DivideGov is Divide under a query governor (nil means ungoverned,
 // with identical behavior): every shard worker checks the governor
 // once per pulled batch, a panicking worker aborts the run instead of
-// killing the process, and the merge loop checks periodically. On
-// abort it unwinds with the abort panic only the boundary
-// Governor.Recover catches — callers are governed cores or API
-// boundaries, never bare user code.
+// killing the process, and the merge loop checks periodically. The
+// resident budget (exec.Limits.MaxResident) is enforced against the
+// shard phase's held state — ShardResident summed over the shards,
+// which run concurrently — once the shards finish, before the merge:
+// the bitmap scheme's per-shard state is only known at shard
+// exhaustion. On abort it unwinds with the abort panic only the
+// boundary Governor.Recover catches — callers are governed cores or
+// API boundaries, never bare user code.
 func DivideGov(g *exec.Governor, db Source, rName, sName string, sem division.Semantics, workers int) (*rel.Relation, Stats) {
 	arityOf(db, rName, 2)
 	arityOf(db, sName, 1)
@@ -106,11 +110,13 @@ func DivideGov(g *exec.Governor, db Source, rName, sName string, sem division.Se
 		sRel := db.ShardRel(0, sName)
 		out, st := division.Hash{}.Divide(db.ShardRel(0, rName), sRel, sem)
 		// Hash's MaxMemoryTuples includes the divisor table; subtract
-		// it so the figure counts the same thing DivideShard reports
+		// it so the figure counts the same thing DivideShardBatches reports
 		// for multi-shard runs (group state only — the divisor is
 		// broadcast, not shard-local) and the column is comparable
 		// across shard counts.
-		return out, Stats{ShardResident: []int{st.MaxMemoryTuples - sRel.Len()}}
+		held := st.MaxMemoryTuples - sRel.Len()
+		g.CheckResident(held)
+		return out, Stats{ShardResident: []int{held}}
 	}
 	sRel, _ := rel.Materialized(db, sName) // broadcast side, read-only
 	dt := division.NewDivisorTable(sRel)
@@ -131,6 +137,11 @@ func DivideGov(g *exec.Governor, db Source, rName, sName string, sem division.Se
 		resident[q] = st.MaxMemoryTuples
 	})
 	g.Check() // rethrow a worker abort before merging partial results
+	held := 0
+	for _, r := range resident {
+		held += r
+	}
+	g.CheckResident(held)
 	st := Stats{ShardResident: resident}
 	mergeStart := time.Now()
 	rt := db.Router(rName)
@@ -157,13 +168,7 @@ func DivideGov(g *exec.Governor, db Source, rName, sName string, sem division.Se
 // sequential setjoin.SignatureContainment emission byte for byte at
 // every shard count. workers <= 0 means one per CPU.
 func ContainmentJoin(db Source, rName, sName string, workers int) (*rel.Relation, Stats) {
-	return shardedSetJoin(nil, db, rName, sName, workers, true)
-}
-
-// ContainmentJoinGov is ContainmentJoin under a query governor; see
-// DivideGov for the contract.
-func ContainmentJoinGov(g *exec.Governor, db Source, rName, sName string, workers int) (*rel.Relation, Stats) {
-	return shardedSetJoin(g, db, rName, sName, workers, true)
+	return shardedSetJoin(db, rName, sName, workers, true)
 }
 
 // EqualityJoin computes the set-equality join rName ⋈[B=D] sName
@@ -174,13 +179,7 @@ func ContainmentJoinGov(g *exec.Governor, db Source, rName, sName string, worker
 // (S-major, R insertion order within a probe) byte for byte at every
 // shard count. workers <= 0 means one per CPU.
 func EqualityJoin(db Source, rName, sName string, workers int) (*rel.Relation, Stats) {
-	return shardedSetJoin(nil, db, rName, sName, workers, false)
-}
-
-// EqualityJoinGov is EqualityJoin under a query governor; see
-// DivideGov for the contract.
-func EqualityJoinGov(g *exec.Governor, db Source, rName, sName string, workers int) (*rel.Relation, Stats) {
-	return shardedSetJoin(g, db, rName, sName, workers, false)
+	return shardedSetJoin(db, rName, sName, workers, false)
 }
 
 // groupsHeld counts the entries a shard's group list pins: one per
@@ -193,10 +192,9 @@ func groupsHeld(gs []*setjoin.Group) int {
 	return held
 }
 
-func shardedSetJoin(g *exec.Governor, db Source, rName, sName string, workers int, containment bool) (*rel.Relation, Stats) {
+func shardedSetJoin(db Source, rName, sName string, workers int, containment bool) (*rel.Relation, Stats) {
 	arityOf(db, rName, 2)
 	arityOf(db, sName, 2)
-	g.Check()
 	if db.NumShards() == 1 {
 		rG, sG := setjoin.Groups(db.ShardRel(0, rName)), setjoin.Groups(db.ShardRel(0, sName))
 		var out *rel.Relation
@@ -218,12 +216,12 @@ func shardedSetJoin(g *exec.Governor, db Source, rName, sName string, workers in
 	containPairs := make([]map[rel.Value][]rel.Tuple, n)
 	eqPairs := make([][][]setjoin.RankedPair, n)
 	resident := make([]int, n)
-	engine.Executor{Workers: workers}.RunGoverned(g, n, func(q int) {
+	engine.Executor{Workers: workers}.Run(n, func(q int) {
 		// Shard-local R sides flow as columnar batches straight off the
 		// relations' stored ID columns into the group builder — no tuple
 		// decoding on the grouping pass, and each worker's translation
 		// cache only reads the shard's sealed dictionaries.
-		rGroups := setjoin.GroupsFromBatches(guardShard(g, db.ShardRel(q, rName).BatchScan()))
+		rGroups := setjoin.GroupsFromBatches(db.ShardRel(q, rName).BatchScan())
 		resident[q] = groupsHeld(rGroups)
 		if containment {
 			containPairs[q], _ = setjoin.ShardContainment(rGroups, sGroups)
@@ -231,7 +229,6 @@ func shardedSetJoin(g *exec.Governor, db Source, rName, sName string, workers in
 			eqPairs[q], _ = setjoin.ShardEquality(rGroups, sGroups, rank)
 		}
 	})
-	g.Check() // rethrow a worker abort before merging partial results
 	st := Stats{ShardResident: resident}
 	mergeStart := time.Now()
 	// The merge's output cardinality is the sum of the per-shard pair
@@ -254,9 +251,6 @@ func shardedSetJoin(g *exec.Governor, db Source, rName, sName string, workers in
 		// R-major merge: walk the dividend router's gids in order and
 		// splice in each group's pair list from its owning shard.
 		for gid := 0; gid < rt.Len(); gid++ {
-			if gid%mergeCheckStride == 0 {
-				g.Check()
-			}
 			st.Merged++
 			v := rt.Value(uint32(gid))
 			for _, p := range containPairs[engine.PartOf(uint32(gid), n)][v] {
@@ -270,9 +264,6 @@ func shardedSetJoin(g *exec.Governor, db Source, rName, sName string, workers in
 	// ascending pair lists into global rank order.
 	heads := make([]int, n) // per-shard cursor into eqPairs[q][si]
 	for si := range sGroups {
-		if si%mergeCheckStride == 0 {
-			g.Check()
-		}
 		for q := range heads {
 			heads[q] = 0
 		}

@@ -215,16 +215,16 @@ func TestShardedEvaluatorEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		for _, n := range shardCounts {
 			d, s := divisionStores(seed, n)
-			if err := sameTuples(ra.EvalStreamed(raExpr, d), ra.EvalStreamed(raExpr, s)); err != nil {
+			if err := sameTuples(ra.EvalVectorized(raExpr, d), ra.EvalVectorized(raExpr, s)); err != nil {
 				t.Fatalf("ra streamed seed %d shards %d: %v", seed, n, err)
 			}
 			if err := sameTuples(ra.Eval(raExpr, d), ra.Eval(raExpr, s)); err != nil {
 				t.Fatalf("ra materialized seed %d shards %d: %v", seed, n, err)
 			}
-			if err := sameTuples(sa.EvalStreamed(saExpr, d), sa.EvalStreamed(saExpr, s)); err != nil {
+			if err := sameTuples(sa.EvalVectorized(saExpr, d), sa.EvalVectorized(saExpr, s)); err != nil {
 				t.Fatalf("sa streamed seed %d shards %d: %v", seed, n, err)
 			}
-			if err := sameTuples(xra.EvalStreamed(xraExpr, d), xra.EvalStreamed(xraExpr, s)); err != nil {
+			if err := sameTuples(xra.EvalVectorized(xraExpr, d), xra.EvalVectorized(xraExpr, s)); err != nil {
 				t.Fatalf("xra streamed seed %d shards %d: %v", seed, n, err)
 			}
 		}
@@ -271,7 +271,7 @@ func TestShardConcurrentReaders(t *testing.T) {
 					t.Errorf("concurrent reader saw wrong contents (n=%d)", n)
 					return
 				}
-				if got := ra.EvalStreamed(ra.R("S", 1), s); got.Len() != 1 {
+				if got := ra.EvalVectorized(ra.R("S", 1), s); got.Len() != 1 {
 					t.Errorf("concurrent streamed eval saw %d tuples", got.Len())
 					return
 				}

@@ -88,7 +88,7 @@ func TestShardSnapshotExecEquivalence(t *testing.T) {
 			}
 			// Evaluators over the snapshot match the in-memory database.
 			raExpr := ra.DivisionExpr("R", "S")
-			if err := sameTuples(ra.EvalStreamed(raExpr, d), ra.EvalStreamed(raExpr, snap)); err != nil {
+			if err := sameTuples(ra.EvalVectorized(raExpr, d), ra.EvalVectorized(raExpr, snap)); err != nil {
 				t.Fatalf("seed %d shards %d: ra streamed on snapshot: %v", seed, n, err)
 			}
 			if err := sameTuples(ra.Eval(raExpr, d), ra.Eval(raExpr, snap)); err != nil {

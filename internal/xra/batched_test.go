@@ -1,6 +1,7 @@
 package xra
 
 import (
+	"fmt"
 	"testing"
 
 	"radiv/internal/ra"
@@ -8,12 +9,12 @@ import (
 	"radiv/internal/workload"
 )
 
-// TestStreamedOnBatchedStore is the batch↔tuple adapter-equivalence
-// suite for the extended algebra: streaming evaluation over a store
-// whose scans run through the columnar batch adapters must emit
-// exactly the bare-store sequence at batch sizes 1, 2 and 1024,
-// covering γ in its keying configurations, wrapped RA subplans with
-// blocking sinks, and the γ-division expressions.
+// TestStreamedOnBatchedStore is the adapter suite for the extended
+// algebra: streaming evaluation over a store whose scans run through
+// the columnar batch adapters must emit exactly the pinned bare-store
+// contract at batch sizes 1, 64 and 1024, covering γ in its keying
+// configurations, wrapped RA subplans with blocking sinks, and the
+// γ-division expressions.
 func TestStreamedOnBatchedStore(t *testing.T) {
 	r2 := &Wrap{E: ra.R("R", 2)}
 	s2 := &Wrap{E: ra.R("S", 2)}
@@ -40,18 +41,7 @@ func TestStreamedOnBatchedStore(t *testing.T) {
 			d.Add("S", tp)
 		}
 		for _, c := range corpus {
-			want := EvalStreamed(c.e, d).Tuples()
-			for _, size := range []int{1, 2, 1024} {
-				got := EvalStreamed(c.e, rel.Batched(d, size)).Tuples()
-				if len(got) != len(want) {
-					t.Fatalf("%s seed %d size=%d: %d tuples, want %d", c.name, seed, size, len(got), len(want))
-				}
-				for i := range want {
-					if !want[i].Equal(got[i]) {
-						t.Fatalf("%s seed %d size=%d: tuple %d is %v, want %v", c.name, seed, size, i, got[i], want[i])
-					}
-				}
-			}
+			checkBatchedStore(t, fmt.Sprintf("batched %s seed %d", c.name, seed), c.e, d)
 		}
 	}
 }
@@ -61,19 +51,20 @@ func TestStreamedOnBatchedStore(t *testing.T) {
 func TestBatchedStoreGammaDivision(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		d := workload.RandomDivision(seed).Database()
-		for _, e := range []Expr{ContainmentDivision("R", "S"), EqualityDivision("R", "S")} {
-			want := EvalStreamed(e, d).Tuples()
-			for _, size := range []int{1, 2, 1024} {
-				got := EvalStreamed(e, rel.Batched(d, size)).Tuples()
-				if len(got) != len(want) {
-					t.Fatalf("seed %d size=%d: %d tuples, want %d", seed, size, len(got), len(want))
-				}
-				for i := range want {
-					if !want[i].Equal(got[i]) {
-						t.Fatalf("seed %d size=%d: tuple %d is %v, want %v", seed, size, i, got[i], want[i])
-					}
-				}
-			}
+		checkBatchedStore(t, fmt.Sprintf("batched containment seed %d", seed), ContainmentDivision("R", "S"), d)
+		checkBatchedStore(t, fmt.Sprintf("batched equality seed %d", seed), EqualityDivision("R", "S"), d)
+	}
+}
+
+// checkBatchedStore runs e over rel.Batched(d, size) at executor batch
+// size size, for every sweep size, against the pinned emission.
+func checkBatchedStore(t *testing.T, key string, e Expr, d rel.Store) {
+	t.Helper()
+	want := contractEntry(t, "xra/"+key)
+	for _, size := range vecBatchSizes {
+		res, _ := EvalVectorizedTracedSized(e, rel.Batched(d, size), size)
+		if got := contractResult(res); got != want {
+			t.Errorf("%s size=%d: emission %s, want %s", key, size, got, want)
 		}
 	}
 }

@@ -1,26 +1,24 @@
 package xra
 
-// This file implements the vectorized executor for the extended
-// algebra: the same cursor plans as stream.go, but operators exchange
-// columnar rel.Batch blocks. Wrapped pure-RA subexpressions pipeline
-// batch-natively through ra.OpenBatchStream — sharing the enclosing
-// plan's resident meter and contributing the same per-node flow counts
-// to the trace — joins are ra's vectorized hash/loop join cursors, and
-// γ gathers group keys columnar-ly: group columns are translated into
-// one key dictionary through rel.IDMap caches, so after the first
-// occurrence of a value, grouping a row is an array load, a hash of
-// flat IDs, and an integer-compare chain walk (no per-row tuple is
-// built, and key equality is ID equality — exact, because the IDs live
-// in a single dictionary). The static duplicate-possibility analysis
-// (mayEmitDuplicates) is shared with the streaming executor, so exact
-// count(*) deduplicates full rows — through an ra.IDSet — in exactly
-// the plans the tuple path does.
+// This file implements the streaming executor for the extended
+// algebra: operators exchange columnar rel.Batch blocks. Wrapped
+// pure-RA subexpressions pipeline batch-natively through
+// ra.OpenBatchStream — sharing the enclosing plan's resident meter and
+// contributing their per-node flow counts to the trace — joins are
+// ra's hash/loop join cursors, and γ gathers group keys columnar-ly:
+// group columns are translated into one key dictionary through
+// rel.IDMap caches, so after the first occurrence of a value, grouping
+// a row is an array load, a hash of flat IDs, and an integer-compare
+// chain walk (no per-row tuple is built, and key equality is ID
+// equality — exact, because the IDs live in a single dictionary). The
+// static duplicate-possibility analysis (mayEmitDuplicates, stream.go)
+// decides where exact count(*) must deduplicate full rows, through an
+// ra.IDSet.
 //
-// Accumulator accounting matches gammaCursor entry for entry (groups,
-// distinct counted values, deduplicated input rows), so MaxResident
-// parity with the tuple path holds, and emission is first-occurrence
-// group order with the SQL-style zero row for an empty grand
-// aggregate — byte-identical to EvalStreamed.
+// The accumulator charges the meter one entry per group, per distinct
+// counted value and per deduplicated input row; emission is
+// first-occurrence group order, with the SQL-style zero row for an
+// empty grand aggregate.
 
 import (
 	"context"
@@ -31,17 +29,18 @@ import (
 	"radiv/internal/rel"
 )
 
-// EvalVectorized evaluates the expression with the vectorized executor
+// EvalVectorized evaluates the expression with the streaming executor
 // and returns the result relation, always a fresh relation owned by
-// the caller. Results are byte-identical — same tuples, same insertion
-// order — to EvalStreamed on any backend holding the same data.
+// the caller.
 func EvalVectorized(e Expr, d rel.ReadStore) *rel.Relation {
 	res, _ := EvalVectorizedTraced(e, d)
 	return res
 }
 
-// EvalVectorizedTraced is EvalVectorized with the trace: the same flow
-// counts, step order and MaxResident EvalStreamedTraced reports.
+// EvalVectorizedTraced is EvalVectorized with the trace. Step sizes
+// count the tuples emitted by each operator (wrapped RA steps report
+// the RA executor's flow counts); MaxResident is filled in (see
+// Trace). The expression is validated first, as in EvalTraced.
 func EvalVectorizedTraced(e Expr, d rel.ReadStore) (*rel.Relation, *Trace) {
 	return EvalVectorizedTracedSized(e, d, 0)
 }
@@ -55,9 +54,12 @@ func EvalVectorizedTracedSized(e Expr, d rel.ReadStore, batchSize int) (*rel.Rel
 	return evalVectorizedMetered(&ra.Meter{}, e, d, batchSize)
 }
 
-// EvalVectorizedContext is the governed vectorized entry point: the
-// columnar sibling of EvalStreamedContext, at an explicit batch row
-// capacity (0 means rel.BatchCap).
+// EvalVectorizedContext is the governed entry point, at an explicit
+// batch row capacity (0 means rel.BatchCap): ctx cancellation and lim
+// budgets are enforced at every batch boundary (wrapped RA subplans
+// included — they share the governed meter), internal panics become
+// typed errors, and on error every pooled batch the evaluation
+// acquired has been released.
 func EvalVectorizedContext(ctx context.Context, e Expr, d rel.ReadStore, batchSize int, lim exec.Limits) (*rel.Relation, *Trace, error) {
 	if verr := Validate(e); verr != nil {
 		return nil, nil, fmt.Errorf("xra: invalid expression: %w", verr)
@@ -74,10 +76,10 @@ func EvalVectorizedContext(ctx context.Context, e Expr, d rel.ReadStore, batchSi
 	return res, tr, nil
 }
 
-// EvalVectorizedGoverned runs the vectorized executor under a caller-
+// EvalVectorizedGoverned runs the streaming executor under a caller-
 // supplied governor (the plan layer's shared-governor hook). The
 // caller owns the boundary: it must recover with Governor.Recover. A
-// nil governor is exactly the legacy ungoverned path.
+// nil governor runs ungoverned.
 func EvalVectorizedGoverned(g *exec.Governor, e Expr, d rel.ReadStore, batchSize int) (*rel.Relation, *Trace) {
 	if err := Validate(e); err != nil {
 		panic("xra: invalid expression: " + err.Error())
@@ -85,8 +87,8 @@ func EvalVectorizedGoverned(g *exec.Governor, e Expr, d rel.ReadStore, batchSize
 	return evalVectorizedMetered(ra.NewGovernedMeter(g), e, d, batchSize)
 }
 
-// evalVectorizedMetered is the vectorized executor core shared by the
-// legacy and governed entries.
+// evalVectorizedMetered is the executor core shared by every entry
+// point.
 func evalVectorizedMetered(meter *ra.Meter, e Expr, d rel.ReadStore, batchSize int) (*rel.Relation, *Trace) {
 	capacity := batchSize
 	if capacity <= 0 {
@@ -103,7 +105,7 @@ func evalVectorizedMetered(meter *ra.Meter, e Expr, d rel.ReadStore, batchSize i
 }
 
 // xCountBatchCursor counts rows flowing out of an operator into the
-// plan's xCountNode — the batch sibling of xCountCursor.
+// plan's xCountNode.
 type xCountBatchCursor struct {
 	in   ra.BatchCursor
 	node *xCountNode
@@ -118,7 +120,7 @@ func (c *xCountBatchCursor) NextBatch() (*rel.Batch, bool) {
 }
 
 // xVecBuilder translates an extended-algebra expression tree into a
-// batch-cursor plan, mirroring xStreamBuilder node for node.
+// batch-cursor plan.
 type xVecBuilder struct {
 	d        rel.ReadStore
 	meter    *ra.Meter
@@ -130,7 +132,7 @@ func (b *xVecBuilder) batches(e Expr) (ra.BatchCursor, *xCountNode) {
 	var cur ra.BatchCursor
 	switch n := e.(type) {
 	case *Wrap:
-		s := ra.OpenBatchStream(n.E, b.d, b.meter, ra.StreamOptions{Vectorize: true, BatchSize: b.capacity})
+		s := ra.OpenBatchStream(n.E, b.d, b.meter, ra.StreamOptions{BatchSize: b.capacity})
 		node.sub = s
 		// The Wrap itself is transparent: no count wrapper, the inner
 		// plan counts its own flows.
@@ -149,8 +151,10 @@ func (b *xVecBuilder) batches(e Expr) (ra.BatchCursor, *xCountNode) {
 			cur = ra.NewHashJoinBatchCursor(l, rc, n.Cond, b.meter, b.capacity)
 		} else if base := b.wrappedBaseRel(n.E); base != nil {
 			// Pure-theta join against a wrapped stored relation: replay
-			// it in place, as the tuple executor does. The Wrap node
-			// still appears in the trace with zero flow.
+			// it in place per probe row, holding nothing — the same
+			// zero-resident path the ra and sa executors take for stored
+			// right sides. The Wrap node still appears in the trace, with
+			// zero flow, as stored relations consumed in place do.
 			node.kids = append(node.kids, &xCountNode{e: n.E})
 			cur = ra.NewLoopJoinBatchCursor(l, nil, base, n.Cond, b.meter, b.capacity)
 		} else {
@@ -168,7 +172,9 @@ func (b *xVecBuilder) batches(e Expr) (ra.BatchCursor, *xCountNode) {
 	return &xCountBatchCursor{in: cur, node: node}, node
 }
 
-// wrappedBaseRel mirrors xStreamBuilder.wrappedBaseRel.
+// wrappedBaseRel unwraps a Wrap around a bare relation name and
+// resolves its store view, or returns nil when e is anything else —
+// the detector behind the in-place replay of stored theta-join sides.
 func (b *xVecBuilder) wrappedBaseRel(e Expr) rel.StoredRel {
 	w, ok := e.(*Wrap)
 	if !ok {
@@ -181,13 +187,14 @@ func (b *xVecBuilder) wrappedBaseRel(e Expr) rel.StoredRel {
 	return rel.CheckView(b.d, r.Name, r.Arity(), "xra")
 }
 
-// NewGammaBatchCursor builds a vectorized γ cursor for external plan
-// builders (internal/plan's mixed executor) — the batch-native
-// counterpart of NewGammaCursor, with the same contract: dedupAll must
-// be set when countCol is 0 and the input can deliver duplicate tuples
-// (mayEmitDuplicates' analysis); column indices are validated against
-// inputArity. capacity bounds the emitted batches (0 means
-// rel.BatchCap).
+// NewGammaBatchCursor builds a streaming γ cursor for external plan
+// builders (internal/plan's mixed executor): the input is drained into
+// the interned accumulator and the aggregate rows stream out, exactly
+// as the xra executor's own γ node. dedupAll must be set when countCol
+// is 0 and the input can deliver duplicate tuples (mayEmitDuplicates'
+// analysis) — count(*) is only exact over a set. Column indices are
+// validated against inputArity with the usual "xra:"-prefixed panics.
+// capacity bounds the emitted batches (0 means rel.BatchCap).
 func NewGammaBatchCursor(in ra.BatchCursor, groupCols []int, countCol, inputArity int, dedupAll bool, m *ra.Meter, capacity int) ra.BatchCursor {
 	for _, c := range groupCols {
 		if c < 1 || c > inputArity {
@@ -217,13 +224,13 @@ type vecGammaGroup struct {
 	n    int
 }
 
-// gammaBatchAgg is the columnar sibling of gammaAgg: group keys and
+// gammaBatchAgg is the executor's γ accumulator: group keys and
 // counted values are translated into accumulator-owned dictionaries
 // through rel.IDMap caches (amortizing interning over batch dictionary
 // reuse), groups are found by a HashIDs bucket walk comparing flat
 // IDs, and exact count(*) over duplicate-capable inputs deduplicates
-// full rows in an ra.IDSet. Metered entries — groups, distinct counted
-// values, deduplicated rows — match gammaAgg one for one.
+// full rows in an ra.IDSet. Metered entries are groups, distinct
+// counted values and deduplicated rows.
 type gammaBatchAgg struct {
 	g       *Gamma
 	keys    *rel.Interner

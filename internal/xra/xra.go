@@ -142,7 +142,7 @@ type Trace struct {
 	// MaxResident is the peak number of tuples simultaneously held in
 	// operator state — join build tables, γ accumulators — across the
 	// whole plan, wrapped RA subplans included (they share the meter).
-	// Only the streaming evaluator (EvalStreamedTraced) fills it; the
+	// Only the streaming evaluator (EvalVectorizedTraced) fills it; the
 	// materialized evaluator leaves it zero. The final result relation
 	// is not counted, exactly as in ra.Trace.
 	MaxResident int
@@ -211,19 +211,13 @@ func eval(e Expr, d rel.ReadStore, tr *Trace) *rel.Relation {
 	return out
 }
 
-// gammaAgg accumulates γ groups on interned value IDs, shared by the
-// materialized and streaming evaluators. Group keys are interned per
-// component and bucketed by rel.HashIDs with representative-tuple
-// verification (the same hash-then-confirm scheme rel.Relation uses
-// for dedup), and distinct counted values are tracked as interned IDs
-// per group — no Tuple.Key strings are built anywhere.
-//
-// dedupAll additionally filters duplicate input tuples, which the
-// streaming evaluator needs for count(*): its dedup-deferring
-// pipelines may deliver the same tuple twice, and only full-tuple
-// deduplication keeps the tuple count exact. (For count(col) the
-// per-group distinct-value sets absorb duplicates for free.) The
-// materialized evaluator consumes relations, which are sets already.
+// gammaAgg accumulates γ groups on interned value IDs for the
+// materialized evaluator. Group keys are interned per component and
+// bucketed by rel.HashIDs with representative-tuple verification (the
+// same hash-then-confirm scheme rel.Relation uses for dedup), and
+// distinct counted values are tracked as interned IDs per group — no
+// Tuple.Key strings are built anywhere. Its input is a relation, a set
+// already, so count(*) needs no full-tuple deduplication.
 type gammaAgg struct {
 	g       *Gamma
 	keys    *rel.Interner      // group-column values -> IDs
@@ -231,11 +225,6 @@ type gammaAgg struct {
 	buckets map[uint64][]int32 // HashIDs of the group-key IDs -> group indices
 	groups  []*gammaGroup      // first-occurrence order
 	idbuf   []uint32
-	seenT   *rel.Relation // distinct input tuples; only when dedupAll and CountCol == 0
-	// held counts the accumulator entries charged to the meter by the
-	// streaming evaluator: groups, distinct counted values, and
-	// deduplicated input tuples.
-	held int
 }
 
 type gammaGroup struct {
@@ -244,7 +233,7 @@ type gammaGroup struct {
 	n    int
 }
 
-func newGammaAgg(g *Gamma, inputArity int, dedupAll bool) *gammaAgg {
+func newGammaAgg(g *Gamma) *gammaAgg {
 	a := &gammaAgg{
 		g:       g,
 		keys:    rel.NewInterner(),
@@ -253,22 +242,12 @@ func newGammaAgg(g *Gamma, inputArity int, dedupAll bool) *gammaAgg {
 	}
 	if g.CountCol > 0 {
 		a.vals = rel.NewInterner()
-	} else if dedupAll {
-		a.seenT = rel.NewRelation(inputArity)
 	}
 	return a
 }
 
-// add folds one input tuple into the aggregate. It returns the number
-// of new accumulator entries created (for resident metering).
-func (a *gammaAgg) add(t rel.Tuple) int {
-	grew := 0
-	if a.seenT != nil {
-		if !a.seenT.Add(t) {
-			return 0
-		}
-		grew++
-	}
+// add folds one input tuple into the aggregate.
+func (a *gammaAgg) add(t rel.Tuple) {
 	for i, c := range a.g.GroupCols {
 		a.idbuf[i] = a.keys.Intern(t[c-1])
 	}
@@ -288,17 +267,13 @@ func (a *gammaAgg) add(t rel.Tuple) int {
 		}
 		a.buckets[h] = append(a.buckets[h], int32(len(a.groups)))
 		a.groups = append(a.groups, grp)
-		grew++
 	}
 	if a.g.CountCol == 0 {
 		grp.n++
 	} else if vid := a.vals.Intern(t[a.g.CountCol-1]); !grp.seen[vid] {
 		grp.seen[vid] = true
 		grp.n++
-		grew++
 	}
-	a.held += grew
-	return grew
 }
 
 // keyEqual reports whether rep equals t projected onto cols.
@@ -327,7 +302,7 @@ func (a *gammaAgg) result() *rel.Relation {
 }
 
 func evalGamma(g *Gamma, in *rel.Relation) *rel.Relation {
-	agg := newGammaAgg(g, in.Arity(), false)
+	agg := newGammaAgg(g)
 	for c := in.Cursor(); ; {
 		t, ok := c.Next()
 		if !ok {
