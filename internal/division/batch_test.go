@@ -10,12 +10,19 @@ import (
 // TestDivideShardBatchesMatchesHash: the batched shard divider, fed a
 // whole dividend as one shard, must qualify exactly the groups the
 // sequential Hash division returns, read and probe every row once per
-// probe, and report identical stats at every batch size, on
-// randomized workloads under both semantics.
+// probe, hold one entry plus one divisor bitmap per distinct group,
+// and report identical stats at every batch size, on randomized
+// workloads under both semantics.
 func TestDivideShardBatchesMatchesHash(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		r, s := workload.RandomDivision(seed).Generate()
 		dt := NewDivisorTable(s)
+		distinct := make(map[rel.Value]bool)
+		for _, tp := range r.Tuples() {
+			distinct[tp[0]] = true
+		}
+		g := len(distinct)
+		wantMem := g + g*((s.Len()+63)/64)
 		for _, sem := range []Semantics{Containment, Equality} {
 			want, _ := Hash{}.Divide(r, s, sem)
 			_, base := dt.DivideShardBatches(r.BatchScanSized(1), sem)
@@ -32,6 +39,10 @@ func TestDivideShardBatchesMatchesHash(t *testing.T) {
 				if gotSt.TuplesRead != r.Len() || gotSt.Probes != 2*r.Len() {
 					t.Errorf("seed %d %s size=%d: stats read=%d probes=%d, want read=%d probes=%d",
 						seed, sem, size, gotSt.TuplesRead, gotSt.Probes, r.Len(), 2*r.Len())
+				}
+				if gotSt.MaxMemoryTuples != wantMem {
+					t.Errorf("seed %d %s size=%d: MaxMemoryTuples=%d, want %d groups + bitmaps = %d",
+						seed, sem, size, gotSt.MaxMemoryTuples, g, wantMem)
 				}
 				if gotSt != base {
 					t.Errorf("seed %d %s size=%d: stats %+v differ from batch 1's %+v", seed, sem, size, gotSt, base)

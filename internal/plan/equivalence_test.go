@@ -8,6 +8,7 @@ import (
 	"radiv/internal/ra"
 	"radiv/internal/rel"
 	"radiv/internal/shard"
+	"radiv/internal/tuplecontract"
 	"radiv/internal/workload"
 )
 
@@ -18,7 +19,7 @@ import (
 // execution surface the plan layer dispatches to: the four engines at
 // batch sizes 1, 64 and 1024, the traced path, and the sharded store
 // at shard counts 1/2/4 with worker counts 1/2/4. The optimized trace
-// must reproduce the pinned tuple contract (contract_test.go), and the
+// must reproduce the pinned tuple contract (internal/tuplecontract), and the
 // result must equal the materialized ra.Eval. Run under -race this
 // doubles as the planner's parallel-safety check.
 
@@ -66,7 +67,7 @@ func checkEquivalence(t *testing.T, name string, e ra.Expr, d *rel.Database) {
 	// that include single-row batches and mid-operator batch
 	// boundaries: the traced result and the trace must reproduce the
 	// pinned contract entry.
-	pinned := contractEntry(t, "plan/"+name)
+	pinned := tuplecontract.Entry(t, "plan/"+name)
 	for _, size := range []int{1, 64, 1024} {
 		p, err := plan.Compile(e, d, plan.Options{Optimize: true, BatchSize: size})
 		if err != nil {

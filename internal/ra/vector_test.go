@@ -7,6 +7,7 @@ import (
 	"radiv/internal/ra"
 	"radiv/internal/rel"
 	"radiv/internal/shard"
+	"radiv/internal/tuplecontract"
 	"radiv/internal/workload"
 )
 
@@ -16,14 +17,14 @@ import (
 var vecBatchSizes = []int{1, 64, 1024}
 
 // checkVectorized runs the streaming executor at every sweep batch
-// size and asserts the pinned tuple contract (see contract_test.go):
+// size and asserts the pinned tuple contract (internal/tuplecontract):
 // the same result digest in emission order, per-step flow counts,
 // MaxIntermediate, TotalTuples and MaxResident as the recorded entry
 // under name. The result must also equal the materialized Eval, and no
 // batch may leak from the pool.
 func checkVectorized(t *testing.T, name string, e ra.Expr, d rel.ReadStore) {
 	t.Helper()
-	want := contractEntry(t, "ra/"+name)
+	want := tuplecontract.Entry(t, "ra/"+name)
 	mat := ra.Eval(e, d)
 	for _, size := range vecBatchSizes {
 		liveBefore, _, _ := rel.BatchPoolStats()
@@ -135,10 +136,10 @@ func TestVectorizedOnShardedStores(t *testing.T) {
 			sdb := shard.FromStore(d, shards)
 			for _, c := range exprs {
 				key := fmt.Sprintf("sharded %s seed %d shards=%d", c.name, seed, shards)
-				want := contractEntry(t, "ra/"+key)
+				want := tuplecontract.Entry(t, "ra/"+key)
 				for _, size := range vecBatchSizes {
 					res, _ := ra.EvalVectorizedGoverned(nil, c.e, sdb, ra.StreamOptions{BatchSize: size})
-					if got := contractResult(res); got != want {
+					if got := tuplecontract.Result(res); got != want {
 						t.Errorf("%s size=%d: emission %s, want %s", key, size, got, want)
 					}
 				}
@@ -201,7 +202,7 @@ func TestVectorizedPoolSeparateFromResident(t *testing.T) {
 	e := ra.DivisionExpr("R", "S")
 	rel.ResetBatchPoolPeak()
 	res, gt := ra.EvalVectorizedTraced(e, d)
-	if got, want := contractTrace(res, gt), contractEntry(t, "ra/division seed 4"); got != want {
+	if got, want := contractTrace(res, gt), tuplecontract.Entry(t, "ra/division seed 4"); got != want {
 		t.Fatalf("contract mismatch\n got: %s\nwant: %s", got, want)
 	}
 	_, peak, _ := rel.BatchPoolStats()

@@ -6,6 +6,7 @@ import (
 
 	"radiv/internal/ra"
 	"radiv/internal/rel"
+	"radiv/internal/tuplecontract"
 	"radiv/internal/workload"
 )
 
@@ -51,10 +52,10 @@ func TestBatchedStoreRandomizedDivisionFamily(t *testing.T) {
 // size size, for every sweep size, against the pinned emission.
 func checkBatchedStore(t *testing.T, key string, e Expr, d rel.Store) {
 	t.Helper()
-	want := contractEntry(t, "sa/"+key)
+	want := tuplecontract.Entry(t, "sa/"+key)
 	for _, size := range vecBatchSizes {
 		res, _ := EvalVectorizedTracedSized(e, rel.Batched(d, size), size)
-		if got := contractResult(res); got != want {
+		if got := tuplecontract.Result(res); got != want {
 			t.Errorf("%s size=%d: emission %s, want %s", key, size, got, want)
 		}
 	}

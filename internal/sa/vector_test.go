@@ -7,6 +7,7 @@ import (
 	"radiv/internal/ra"
 	"radiv/internal/rel"
 	"radiv/internal/shard"
+	"radiv/internal/tuplecontract"
 	"radiv/internal/workload"
 )
 
@@ -16,14 +17,14 @@ import (
 var vecBatchSizes = []int{1, 64, 1024}
 
 // checkVectorized runs the streaming executor at every sweep batch
-// size and asserts the pinned tuple contract (see contract_test.go):
+// size and asserts the pinned tuple contract (internal/tuplecontract):
 // the same result digest in emission order, per-step flow counts,
 // MaxIntermediate, TotalTuples and MaxResident as the recorded entry
 // under name. The result must also equal the materialized Eval, and no
 // batch may leak from the pool.
 func checkVectorized(t *testing.T, name string, e Expr, d rel.ReadStore) {
 	t.Helper()
-	want := contractEntry(t, "sa/"+name)
+	want := tuplecontract.Entry(t, "sa/"+name)
 	mat := Eval(e, d)
 	for _, size := range vecBatchSizes {
 		liveBefore, _, _ := rel.BatchPoolStats()
@@ -127,10 +128,10 @@ func TestVectorizedSAOnShardedStores(t *testing.T) {
 			sdb := shard.FromStore(d, shards)
 			for _, c := range exprs {
 				key := fmt.Sprintf("sharded %s seed %d shards=%d", c.name, seed, shards)
-				want := contractEntry(t, "sa/"+key)
+				want := tuplecontract.Entry(t, "sa/"+key)
 				for _, size := range vecBatchSizes {
 					res, _ := EvalVectorizedTracedSized(c.e, sdb, size)
-					if got := contractResult(res); got != want {
+					if got := tuplecontract.Result(res); got != want {
 						t.Errorf("%s size=%d: emission %s, want %s", key, size, got, want)
 					}
 				}

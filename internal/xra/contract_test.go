@@ -1,102 +1,23 @@
 package xra
 
 import (
-	"flag"
-	"fmt"
-	"hash/fnv"
-	"os"
-	"strconv"
-	"strings"
-	"sync"
 	"testing"
 
 	"radiv/internal/rel"
+	"radiv/internal/tuplecontract"
 )
 
-// This is the tuple-contract reader for this package's key prefix;
-// internal/ra/contract_test.go documents the contract and the format.
-
-// contractPath is the shared golden file, relative to a package under
-// internal/.
-const contractPath = "../testdata/tuple_contract.golden"
-
-var loadContract = sync.OnceValues(func() (map[string]string, error) {
-	data, err := os.ReadFile(contractPath)
-	if err != nil {
-		return nil, err
-	}
-	m := make(map[string]string)
-	for _, ln := range strings.Split(string(data), "\n") {
-		if ln == "" || strings.HasPrefix(ln, "#") {
-			continue
-		}
-		k, v, ok := strings.Cut(ln, "\t")
-		if !ok {
-			return nil, fmt.Errorf("malformed contract line %q", ln)
-		}
-		m[k] = v
-	}
-	return m, nil
-})
-
-// checkedEntries records the keys contractEntry handed out.
-var checkedEntries sync.Map
-
-// contractEntry returns the pinned record for key, failing the test
-// when the file is unreadable or has no such entry.
-func contractEntry(t *testing.T, key string) string {
-	t.Helper()
-	m, err := loadContract()
-	if err != nil {
-		t.Fatalf("tuple contract: %v", err)
-	}
-	want, ok := m[key]
-	if !ok {
-		t.Fatalf("tuple contract has no entry %q", key)
-	}
-	checkedEntries.Store(key, true)
-	return want
-}
-
-// TestMain fails a full, unfiltered run that left one of this
-// package's pinned entries unchecked, so a shrinking corpus cannot
-// silently stop reproducing the contract.
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if code == 0 && flag.Lookup("test.run").Value.String() == "" {
-		entries, err := loadContract()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tuple contract:", err)
-			os.Exit(1)
-		}
-		for k := range entries {
-			if _, ok := checkedEntries.Load(k); !ok && strings.HasPrefix(k, "xra/") {
-				fmt.Fprintf(os.Stderr, "tuple contract entry %q was not checked\n", k)
-				code = 1
-			}
-		}
-	}
-	os.Exit(code)
-}
-
-// contractResult renders a result as its size and an FNV-64a digest
-// of its tuples in emission order.
-func contractResult(res *rel.Relation) string {
-	h := fnv.New64a()
-	for _, t := range res.Tuples() {
-		h.Write([]byte(t.String() + "\n"))
-	}
-	return fmt.Sprintf("rows=%d result=%016x", res.Len(), h.Sum64())
-}
+// TestMain checks this package's entries of the tuple contract; see
+// internal/tuplecontract.
+func TestMain(m *testing.M) { tuplecontract.Main(m, "xra/") }
 
 // contractTrace renders a result and its trace in the golden format.
 func contractTrace(res *rel.Relation, tr *Trace) string {
-	h := fnv.New64a()
-	flows := make([]string, len(tr.Steps))
+	labels := make([]string, len(tr.Steps))
+	flows := make([]int, len(tr.Steps))
 	for i, s := range tr.Steps {
-		h.Write([]byte(s.Expr.String() + "\n"))
-		flows[i] = strconv.Itoa(s.Size)
+		labels[i] = s.Expr.String()
+		flows[i] = s.Size
 	}
-	return fmt.Sprintf("%s steps=%016x flows=%s max=%d total=%d resident=%d",
-		contractResult(res), h.Sum64(), strings.Join(flows, ","), tr.MaxIntermediate, tr.TotalTuples, tr.MaxResident)
+	return tuplecontract.Trace(res, labels, flows, tr.MaxIntermediate, tr.TotalTuples, tr.MaxResident)
 }

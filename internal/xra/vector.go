@@ -23,6 +23,7 @@ package xra
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"radiv/internal/exec"
 	"radiv/internal/ra"
@@ -315,10 +316,11 @@ func (a *gammaBatchAgg) add(b *rel.Batch, row int) int {
 		grp.n++
 	} else {
 		vid := a.valsXl.Intern(b.Dict(a.g.CountCol-1), b.Col(a.g.CountCol - 1)[row])
-		if int(vid) >= len(grp.seen) {
-			grown := make([]bool, a.vals.Len())
-			copy(grown, grp.seen)
-			grp.seen = grown
+		if n := a.vals.Len(); int(vid) >= len(grp.seen) {
+			// Grow with append's amortized capacity: value IDs arrive
+			// in increasing order, so an exact-size copy would
+			// reallocate on nearly every new value.
+			grp.seen = slices.Grow(grp.seen, n-len(grp.seen))[:n]
 		}
 		if !grp.seen[vid] {
 			grp.seen[vid] = true

@@ -7,6 +7,7 @@ import (
 	"radiv/internal/ra"
 	"radiv/internal/rel"
 	"radiv/internal/shard"
+	"radiv/internal/tuplecontract"
 	"radiv/internal/workload"
 )
 
@@ -30,14 +31,14 @@ func setJoinDatabase(seed int64) *rel.Database {
 }
 
 // checkVectorized runs the streaming executor at every sweep batch
-// size and asserts the pinned tuple contract (see contract_test.go):
+// size and asserts the pinned tuple contract (internal/tuplecontract):
 // the same result digest in emission order, per-step flow counts,
 // MaxIntermediate, TotalTuples and MaxResident as the recorded entry
 // under name. The result must also equal the materialized Eval, and no
 // batch may leak from the pool.
 func checkVectorized(t *testing.T, name string, e Expr, d rel.ReadStore) {
 	t.Helper()
-	want := contractEntry(t, "xra/"+name)
+	want := tuplecontract.Entry(t, "xra/"+name)
 	mat := Eval(e, d)
 	for _, size := range vecBatchSizes {
 		liveBefore, _, _ := rel.BatchPoolStats()
@@ -139,10 +140,10 @@ func TestVectorizedXRAOnShardedStores(t *testing.T) {
 			sdb := shard.FromStore(d, shards)
 			for _, c := range exprs {
 				key := fmt.Sprintf("sharded %s seed %d shards=%d", c.name, seed, shards)
-				want := contractEntry(t, "xra/"+key)
+				want := tuplecontract.Entry(t, "xra/"+key)
 				for _, size := range vecBatchSizes {
 					res, _ := EvalVectorizedTracedSized(c.e, sdb, size)
-					if got := contractResult(res); got != want {
+					if got := tuplecontract.Result(res); got != want {
 						t.Errorf("%s size=%d: emission %s, want %s", key, size, got, want)
 					}
 				}
