@@ -289,7 +289,7 @@ func BenchmarkG5GammaDivision(b *testing.B) {
 		b.ReportMetric(float64(tr.MaxIntermediate), "max-intermediate")
 	})
 	b.Run("gamma", func(b *testing.B) {
-		var tr *xra.Trace
+		var tr *ra.Trace
 		for i := 0; i < b.N; i++ {
 			_, tr = xra.EvalTraced(xra.ContainmentDivision("R", "S"), d)
 		}
@@ -407,21 +407,22 @@ func BenchmarkStreamedDivision(b *testing.B) {
 	b.Run("streamed", func(b *testing.B) {
 		var tr *ra.Trace
 		for i := 0; i < b.N; i++ {
-			_, tr = ra.EvalVectorizedTraced(e, d)
+			_, tr = ra.EvalVectorized(nil, e, d, 0)
 		}
 		b.ReportMetric(float64(tr.MaxResident), "max-resident")
 		b.ReportMetric(float64(tr.MaxIntermediate), "max-intermediate")
 	})
 }
 
-// BenchmarkStreamedDedupFilter measures the ROADMAP's time-for-memory
-// trade on a projection feeding a join's probe side: R has 40 tuples
-// per group key, so π1(R) emits every key 40 times and the deferred-
-// dedup executor replays the join's candidate scan once per duplicate
-// probe (40× the probes), while the pipelined dedup filter
-// (StreamOptions{Dedup: DedupOn}) spends one resident tuple per
-// distinct key to probe once. The max-resident metrics quantify the
-// memory side of the trade.
+// BenchmarkStreamedDedupFilter prices the executor's cost-based dedup
+// filter on a projection feeding a join's probe side: R has 40 tuples
+// per group key, so π1(R) emits every key 40 times, and without the
+// filter the join would replay its candidate scan once per duplicate
+// probe (40× the probes). The cost model inserts the pipelined filter
+// here — 40 duplicate probes per key against ~20-candidate buckets
+// dwarf one resident tuple per distinct key — so the plan probes once
+// per key. The max-resident metric quantifies the memory side of the
+// trade.
 func BenchmarkStreamedDedupFilter(b *testing.B) {
 	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2, "S": 2}))
 	for a := 0; a < 50; a++ {
@@ -433,26 +434,14 @@ func BenchmarkStreamedDedupFilter(b *testing.B) {
 		}
 	}
 	e := ra.NewJoin(ra.NewProject([]int{1}, ra.R("R", 2)), ra.Eq(1, 1), ra.R("S", 2))
-	for _, cfg := range []struct {
-		name string
-		opts ra.StreamOptions
-	}{
-		{"replay", ra.StreamOptions{Dedup: ra.DedupOff}},
-		{"dedup-filter", ra.StreamOptions{Dedup: ra.DedupOn}},
-		// The cost-based default should land on the filter here: 40
-		// duplicate probes per key against ~20-candidate buckets dwarf
-		// one resident tuple per distinct key.
-		{"auto", ra.StreamOptions{}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			var tr *ra.Trace
-			for i := 0; i < b.N; i++ {
-				_, tr = ra.EvalVectorizedGoverned(nil, e, d, cfg.opts)
-			}
-			b.ReportMetric(float64(tr.MaxResident), "max-resident")
-			b.ReportMetric(float64(tr.TotalTuples), "total-flow")
-		})
-	}
+	b.Run("auto", func(b *testing.B) {
+		var tr *ra.Trace
+		for i := 0; i < b.N; i++ {
+			_, tr = ra.EvalVectorized(nil, e, d, 0)
+		}
+		b.ReportMetric(float64(tr.MaxResident), "max-resident")
+		b.ReportMetric(float64(tr.TotalTuples), "total-flow")
+	})
 }
 
 // BenchmarkVectorizedDivision (exp ST4) sweeps the streaming
@@ -473,9 +462,8 @@ func BenchmarkVectorizedDivision(b *testing.B) {
 	for _, size := range []int{1, 64, 1024} {
 		b.Run(fmt.Sprintf("vector-%d", size), func(b *testing.B) {
 			b.ReportAllocs()
-			opts := ra.StreamOptions{BatchSize: size}
 			for i := 0; i < b.N; i++ {
-				ra.EvalVectorizedGoverned(nil, e, d, opts)
+				ra.EvalVectorized(nil, e, d, size)
 			}
 		})
 	}
@@ -500,15 +488,14 @@ func BenchmarkVectorizedPipeline(b *testing.B) {
 		ra.Eq(1, 1), ra.R("Q", 2))
 	b.Run("vector-1", func(b *testing.B) {
 		b.ReportAllocs()
-		opts := ra.StreamOptions{BatchSize: 1}
 		for i := 0; i < b.N; i++ {
-			ra.EvalVectorizedGoverned(nil, e, d, opts)
+			ra.EvalVectorized(nil, e, d, 1)
 		}
 	})
 	b.Run("vector", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ra.EvalVectorized(e, d)
+			ra.EvalVectorized(nil, e, d, 0)
 		}
 	})
 }
@@ -578,16 +565,16 @@ func BenchmarkStreamedSemijoinAlgebra(b *testing.B) {
 	}
 	e := sa.NewProject([]int{1}, sa.NewAntijoin(sa.R("R", 2), ra.Eq(2, 1), sa.R("S", 1)))
 	b.Run("materialized", func(b *testing.B) {
-		var tr *sa.Trace
+		var tr *ra.Trace
 		for i := 0; i < b.N; i++ {
 			_, tr = sa.EvalTraced(e, d)
 		}
 		b.ReportMetric(float64(tr.MaxIntermediate), "max-intermediate")
 	})
 	b.Run("streamed", func(b *testing.B) {
-		var tr *sa.Trace
+		var tr *ra.Trace
 		for i := 0; i < b.N; i++ {
-			_, tr = sa.EvalVectorizedTraced(e, d)
+			_, tr = sa.EvalVectorized(nil, e, d, 0)
 		}
 		b.ReportMetric(float64(tr.MaxResident), "max-resident")
 	})
@@ -615,7 +602,7 @@ func BenchmarkVectorizedSemijoin(b *testing.B) {
 		b.Run(fmt.Sprintf("vector-%d", size), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sa.EvalVectorizedTracedSized(e, d, size)
+				sa.EvalVectorized(nil, e, d, size)
 			}
 		})
 	}
@@ -638,7 +625,7 @@ func BenchmarkVectorizedGamma(b *testing.B) {
 		b.Run(fmt.Sprintf("vector-%d", size), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				xra.EvalVectorizedTracedSized(e, d, size)
+				xra.EvalVectorized(nil, e, d, size)
 			}
 		})
 	}
@@ -715,7 +702,7 @@ func BenchmarkBisimScaling(b *testing.B) {
 
 // BenchmarkGovernedOverhead prices the fault-tolerance plumbing: the
 // same division run ungoverned (nil governor) and through the governed
-// Context boundary with an active context and budgets. The governed
+// exec.Do boundary with an active context and budgets. The governed
 // arm's only steady-state cost is one guard branch per batch, so the
 // two arms should stay within noise of each other; compare them from
 // repeated runs, not a single smoke iteration.
@@ -730,21 +717,19 @@ func BenchmarkGovernedOverhead(b *testing.B) {
 	}
 	e := ra.DivisionExpr("R", "S")
 	for _, size := range []int{64, 1024} {
-		opts := ra.StreamOptions{BatchSize: size}
 		b.Run(fmt.Sprintf("ungoverned-%d", size), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ra.EvalVectorizedGoverned(nil, e, d, opts)
+				ra.EvalVectorized(nil, e, d, size)
 			}
 		})
 		b.Run(fmt.Sprintf("governed-%d", size), func(b *testing.B) {
 			b.ReportAllocs()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			gopts := opts
-			gopts.Limits = exec.Limits{MaxResident: 1 << 30}
+			lim := exec.Limits{MaxResident: 1 << 30}
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ra.EvalVectorizedContext(ctx, e, d, gopts); err != nil {
+				if err := exec.Do(ctx, lim, func(g *exec.Governor) { ra.EvalVectorized(g, e, d, size) }); err != nil {
 					b.Fatal(err)
 				}
 			}

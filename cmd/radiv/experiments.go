@@ -289,7 +289,7 @@ func runST1(w io.Writer) {
 			d.Add("S", tp)
 		}
 		mat, mt := ra.EvalTraced(e, d)
-		str, st := ra.EvalVectorizedTraced(e, d)
+		str, st := ra.EvalVectorized(nil, e, d, 0)
 		if !mat.Equal(str) {
 			fmt.Fprintln(w, "!! streamed result diverges from materialized")
 			return
@@ -334,15 +334,15 @@ func runST2(w io.Writer) {
 			d.Add("S", tp)
 		}
 		saMat, saT := sa.EvalTraced(saExpr, d)
-		saStr, saS := sa.EvalVectorizedTraced(saExpr, d)
+		saStr, saS := sa.EvalVectorized(nil, saExpr, d, 0)
 		xMat, xT := xra.EvalTraced(xraExpr, d)
-		xStr, xS := xra.EvalVectorizedTraced(xraExpr, d)
+		xStr, xS := xra.EvalVectorized(nil, xraExpr, d, 0)
 		if !saMat.Equal(saStr) || !xMat.Equal(xStr) {
 			fmt.Fprintln(w, "!! streamed result diverges from materialized")
 			return
 		}
 		want, _ := division.Hash{}.Divide(r, s, division.Containment)
-		cur := division.ParallelHash{Workers: workers}.DivideStream(r.Cursor(), s, division.Containment)
+		cur := division.ParallelHash{Workers: workers}.DivideStream(nil, r.Cursor(), s, division.Containment)
 		// Drain fully before comparing: the cursor contract requires
 		// exhaustion, or the exchange goroutines stay blocked.
 		var got []rel.Tuple
@@ -498,9 +498,6 @@ func runST4(w io.Writer) {
 	pipe := ra.NewJoin(
 		ra.NewProject([]int{1}, ra.NewSelect(1, ra.OpNe, 2, ra.R("P", 2))),
 		ra.Eq(1, 1), ra.R("Q", 2))
-	run := func(e ra.Expr, d rel.ReadStore, size int) (*rel.Relation, *ra.Trace) {
-		return ra.EvalVectorizedGoverned(nil, e, d, ra.StreamOptions{BatchSize: size})
-	}
 	t := stats.NewTable("plan", "batch", "time/op", "allocs/op", "speedup", "alloc ratio")
 	for _, pl := range []struct {
 		name string
@@ -508,15 +505,15 @@ func runST4(w io.Writer) {
 		d    *rel.Database
 	}{{"division", div, d}, {"select→project→join", pipe, dp}} {
 		e, d := pl.e, pl.d
-		want, wt := run(e, d, 1)
+		want, wt := ra.EvalVectorized(nil, e, d, 1)
 		wantT := want.Tuples()
-		baseNs, baseAllocs := bench(func() { run(e, d, 1) })
+		baseNs, baseAllocs := bench(func() { ra.EvalVectorized(nil, e, d, 1) })
 		t.AddRow(pl.name, 1, baseNs.Round(time.Microsecond), int64(baseAllocs), "1.00x", "1.0x")
 		for _, size := range batchSizes() {
 			if size == 1 {
 				continue
 			}
-			got, gt := run(e, d, size)
+			got, gt := ra.EvalVectorized(nil, e, d, size)
 			if !sameEmission(got.Tuples(), wantT) {
 				fmt.Fprintf(w, "!! batch %d emission diverges from batch 1\n", size)
 				return
@@ -525,7 +522,7 @@ func runST4(w io.Writer) {
 				fmt.Fprintf(w, "!! resident accounting diverges: batch %d %d, batch 1 %d\n", size, gt.MaxResident, wt.MaxResident)
 				return
 			}
-			ns, allocs := bench(func() { run(e, d, size) })
+			ns, allocs := bench(func() { ra.EvalVectorized(nil, e, d, size) })
 			ratio := "—"
 			if allocs > 0 {
 				ratio = fmt.Sprintf("%.1fx", baseAllocs/allocs)
@@ -537,7 +534,7 @@ func runST4(w io.Writer) {
 			pl.name, wt.MaxResident)
 	}
 	rel.ResetBatchPoolPeak()
-	ra.EvalVectorized(div, d)
+	ra.EvalVectorized(nil, div, d, 0)
 	live, peak, _ := rel.BatchPoolStats()
 	fmt.Fprintln(w)
 	fmt.Fprint(w, t)
@@ -601,25 +598,11 @@ func runST5(w io.Writer) {
 	fmt.Fprintln(w, "expression into the linear γ-division automatically")
 }
 
-// saTracesMatch reports whether two SA traces agree on shape: the
-// same steps in the same order — operator and flow count — and the
-// same resident peak. Changing the batch size must not change any of
-// them: batching is transport, not semantics.
-func saTracesMatch(got, want *sa.Trace) bool {
-	if len(got.Steps) != len(want.Steps) || got.MaxResident != want.MaxResident {
-		return false
-	}
-	for i := range want.Steps {
-		if got.Steps[i].Size != want.Steps[i].Size ||
-			got.Steps[i].Expr.String() != want.Steps[i].Expr.String() {
-			return false
-		}
-	}
-	return true
-}
-
-// xraTracesMatch is saTracesMatch for the extended algebra.
-func xraTracesMatch(got, want *xra.Trace) bool {
+// tracesMatch reports whether two traces agree on shape: the same
+// steps in the same order — operator and flow count — and the same
+// resident peak. Changing the batch size must not change any of them:
+// batching is transport, not semantics.
+func tracesMatch(got, want *ra.Trace) bool {
 	if len(got.Steps) != len(want.Steps) || got.MaxResident != want.MaxResident {
 		return false
 	}
@@ -673,10 +656,10 @@ func runST6(w io.Writer) {
 	// Compute arm.
 	saExpr := sa.NewProject([]int{1}, sa.NewAntijoin(sa.R("R", 2), ra.Eq(2, 1), sa.R("S", 1)))
 	xExpr := xra.ContainmentDivision("R", "S")
-	saWant, saWT := sa.EvalVectorizedTracedSized(saExpr, d, 1)
-	xWant, xWT := xra.EvalVectorizedTracedSized(xExpr, d, 1)
-	saBase := bench(func() { sa.EvalVectorizedTracedSized(saExpr, d, 1) })
-	xBase := bench(func() { xra.EvalVectorizedTracedSized(xExpr, d, 1) })
+	saWant, saWT := sa.EvalVectorized(nil, saExpr, d, 1)
+	xWant, xWT := xra.EvalVectorized(nil, xExpr, d, 1)
+	saBase := bench(func() { sa.EvalVectorized(nil, saExpr, d, 1) })
+	xBase := bench(func() { xra.EvalVectorized(nil, xExpr, d, 1) })
 	ct := stats.NewTable("algebra", "batch", "time/op", "speedup")
 	ct.AddRow("SA antijoin-division", 1, saBase.Round(time.Microsecond), "1.00x")
 	ct.AddRow("γ-division", 1, xBase.Round(time.Microsecond), "1.00x")
@@ -684,18 +667,18 @@ func runST6(w io.Writer) {
 		if size == 1 {
 			continue
 		}
-		saGot, saGT := sa.EvalVectorizedTracedSized(saExpr, d, size)
-		xGot, xGT := xra.EvalVectorizedTracedSized(xExpr, d, size)
+		saGot, saGT := sa.EvalVectorized(nil, saExpr, d, size)
+		xGot, xGT := xra.EvalVectorized(nil, xExpr, d, size)
 		if !sameEmission(saGot.Tuples(), saWant.Tuples()) || !sameEmission(xGot.Tuples(), xWant.Tuples()) {
 			fmt.Fprintf(w, "!! batch %d emission diverges from batch 1\n", size)
 			return
 		}
-		if !saTracesMatch(saGT, saWT) || !xraTracesMatch(xGT, xWT) {
+		if !tracesMatch(saGT, saWT) || !tracesMatch(xGT, xWT) {
 			fmt.Fprintf(w, "!! batch %d trace shape diverges from batch 1\n", size)
 			return
 		}
-		saNs := bench(func() { sa.EvalVectorizedTracedSized(saExpr, d, size) })
-		xNs := bench(func() { xra.EvalVectorizedTracedSized(xExpr, d, size) })
+		saNs := bench(func() { sa.EvalVectorized(nil, saExpr, d, size) })
+		xNs := bench(func() { xra.EvalVectorized(nil, xExpr, d, size) })
 		ct.AddRow("SA antijoin-division", size, saNs.Round(time.Microsecond),
 			fmt.Sprintf("%.2fx", float64(saBase)/float64(saNs)))
 		ct.AddRow("γ-division", size, xNs.Round(time.Microsecond),
@@ -724,7 +707,7 @@ func runST6(w io.Writer) {
 				cursors[q] = ra.ScanBatches(sdb.ShardRel(q, "R"), size)
 			}
 			qualified := make([]map[rel.Value]bool, exShards)
-			engine.Executor{Workers: wk}.StreamShardedBatches(cursors, func(q int, shard engine.BatchCursor) {
+			engine.Executor{Workers: wk}.StreamShardedBatches(nil, cursors, func(q int, shard engine.BatchCursor) {
 				qualified[q], _ = dt.DivideShardBatches(shard, division.Containment)
 			})
 			mergeStart := time.Now()

@@ -96,13 +96,16 @@ func run(args []string, out io.Writer) error {
 		defer cancel()
 	}
 
+	var res *rel.Relation
+	var tr *ra.Trace
 	switch {
 	case *raSrc != "":
 		e, err := parser.ParseRA(*raSrc, d.Schema())
 		if err != nil {
 			return err
 		}
-		if *optimize || *explain {
+		switch {
+		case *optimize || *explain:
 			// The planner path: compile (optionally rewriting), explain,
 			// and execute through whichever engine the plan bound.
 			p, err := plan.Compile(e, d, plan.Options{Optimize: *optimize, Limits: lim})
@@ -112,61 +115,33 @@ func run(args []string, out io.Writer) error {
 			if *explain {
 				fmt.Fprint(out, p.Explain())
 			}
-			var res *rel.Relation
-			var tr *plan.Trace
 			if governed {
 				res, tr, err = p.ExecuteTracedContext(ctx)
-				if err != nil {
-					return err
-				}
 			} else {
 				res, tr = p.ExecuteTraced()
 			}
-			if *trace {
-				for _, s := range tr.Steps {
-					fmt.Fprintf(out, "%8d  %s\n", s.Size, s.Label)
-				}
-				fmt.Fprintf(out, "max intermediate: %d\n", tr.MaxIntermediate)
-			}
-			fmt.Fprint(out, res)
-			return nil
-		}
-		var res *rel.Relation
-		var tr *ra.Trace
-		if governed {
-			res, tr, err = ra.EvalVectorizedContext(ctx, e, d, ra.StreamOptions{Limits: lim})
 			if err != nil {
 				return err
 			}
-		} else {
+		case governed:
+			if err := exec.Do(ctx, lim, func(g *exec.Governor) { res, tr = ra.EvalVectorized(g, e, d, 0) }); err != nil {
+				return err
+			}
+		default:
 			res, tr = ra.EvalTraced(e, d)
 		}
-		if *trace {
-			fmt.Fprint(out, tr)
-		}
-		fmt.Fprint(out, res)
 	case *saSrc != "":
 		e, err := parser.ParseSA(*saSrc, d.Schema())
 		if err != nil {
 			return err
 		}
-		var res *rel.Relation
-		var tr *sa.Trace
 		if governed {
-			res, tr, err = sa.EvalVectorizedContext(ctx, e, d, 0, lim)
-			if err != nil {
+			if err := exec.Do(ctx, lim, func(g *exec.Governor) { res, tr = sa.EvalVectorized(g, e, d, 0) }); err != nil {
 				return err
 			}
 		} else {
 			res, tr = sa.EvalTraced(e, d)
 		}
-		if *trace {
-			for _, s := range tr.Steps {
-				fmt.Fprintf(out, "%8d  %s\n", s.Size, s.Expr)
-			}
-			fmt.Fprintf(out, "max intermediate: %d\n", tr.MaxIntermediate)
-		}
-		fmt.Fprint(out, res)
 	case *gfSrc != "":
 		if governed {
 			return fmt.Errorf("-timeout and -max-resident apply to -ra and -sa queries only")
@@ -194,8 +169,13 @@ func run(args []string, out io.Writer) error {
 		}
 		c := gf.Constants(formula).Union(rel.Consts(cs...))
 		fmt.Fprint(out, gf.Answers(formula, d, c, vlist))
+		return nil
 	default:
 		return fmt.Errorf("provide one of -ra, -sa, -gf")
 	}
+	if *trace {
+		fmt.Fprint(out, tr)
+	}
+	fmt.Fprint(out, res)
 	return nil
 }

@@ -52,7 +52,7 @@ func TestMedicalCursorFedParallel(t *testing.T) {
 		return out
 	}
 	want, _ := setjoin.SignatureContainment{}.Join(person, disease)
-	got := drain(setjoin.ParallelSignatureContainment{Workers: 2}.JoinStream(person, disease))
+	got := drain(setjoin.ParallelSignatureContainment{Workers: 2}.JoinStream(nil, person, disease))
 	wantT := want.Tuples()
 	if len(got) != len(wantT) {
 		t.Fatalf("streamed containment join emitted %d pairs, want %d", len(got), len(wantT))
@@ -63,7 +63,7 @@ func TestMedicalCursorFedParallel(t *testing.T) {
 		}
 	}
 	div, _ := division.Hash{}.Divide(d.Rel("Person"), d.Rel("Symptoms"), division.Containment)
-	dgot := drain(division.ParallelHash{Workers: 2}.DivideStream(d.Rel("Person").Cursor(), d.Rel("Symptoms"), division.Containment))
+	dgot := drain(division.ParallelHash{Workers: 2}.DivideStream(nil, d.Rel("Person").Cursor(), d.Rel("Symptoms"), division.Containment))
 	dwant := div.Tuples()
 	if len(dgot) != len(dwant) {
 		t.Fatalf("streamed division emitted %d tuples, want %d", len(dgot), len(dwant))

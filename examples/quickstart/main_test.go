@@ -28,7 +28,7 @@ func TestQuickstartCorePath(t *testing.T) {
 	}
 	// Cursor-fed parallel division at two workers (the configuration
 	// CI pins): byte-identical to the sequential hash emission.
-	cur := division.ParallelHash{Workers: 2}.DivideStream(d.Rel("R").Cursor(), d.Rel("S"), division.Containment)
+	cur := division.ParallelHash{Workers: 2}.DivideStream(nil, d.Rel("R").Cursor(), d.Rel("S"), division.Containment)
 	streamed := rel.NewRelation(1)
 	for tp, ok := cur.Next(); ok; tp, ok = cur.Next() {
 		streamed.Add(tp)

@@ -8,6 +8,7 @@ package a
 
 import (
 	"radiv/internal/engine"
+	"radiv/internal/exec"
 	"radiv/internal/rel"
 )
 
@@ -19,7 +20,7 @@ import (
 // live packing dictionary is responsible for re-encoding before the
 // exchange (division.DivideStream's pattern).
 func InternInWorker(ex engine.Executor, in engine.BatchCursor, dict *rel.Interner, sink *rel.Relation, s rel.Store) {
-	ex.StreamPartitionedBatches(in, func(b *rel.Batch, row int) int {
+	ex.StreamPartitionedBatches(nil, in, func(b *rel.Batch, row int) int {
 		return int(dict.Intern(b.Value(0, row))) % 2 // route runs on the router goroutine: interning is safe here
 	}, func(q int, shard engine.BatchCursor) {
 		for b, ok := shard.NextBatch(); ok; b, ok = shard.NextBatch() {
@@ -38,7 +39,7 @@ func InternInWorker(ex engine.Executor, in engine.BatchCursor, dict *rel.Interne
 // IDMapInWorker interns through a translation cache whose target
 // dictionary is captured — the same race one indirection later.
 func IDMapInWorker(ex engine.Executor, in engine.BatchCursor, xl *rel.IDMap) {
-	ex.StreamPartitionedBatches(in, func(b *rel.Batch, row int) int {
+	ex.StreamPartitionedBatches(nil, in, func(b *rel.Batch, row int) int {
 		return int(b.Col(0)[row]) % 2
 	}, func(q int, shard engine.BatchCursor) {
 		for b, ok := shard.NextBatch(); ok; b, ok = shard.NextBatch() {
@@ -51,7 +52,7 @@ func IDMapInWorker(ex engine.Executor, in engine.BatchCursor, xl *rel.IDMap) {
 // WorkerLocal builds every dictionary inside the callback: private to
 // the worker, outside the contract.
 func WorkerLocal(ex engine.Executor, in engine.BatchCursor, results []*rel.Relation) {
-	ex.StreamPartitionedBatches(in, func(b *rel.Batch, row int) int { return 0 }, func(q int, shard engine.BatchCursor) {
+	ex.StreamPartitionedBatches(nil, in, func(b *rel.Batch, row int) int { return 0 }, func(q int, shard engine.BatchCursor) {
 		local := rel.NewInterner()
 		out := rel.NewRelation(1)
 		for b, ok := shard.NextBatch(); ok; b, ok = shard.NextBatch() {
@@ -70,7 +71,7 @@ func WorkerLocal(ex engine.Executor, in engine.BatchCursor, results []*rel.Relat
 // path: no router is interning, the dictionaries are quiescent, and
 // read-only probing is the documented safe pattern.
 func ShardedReads(ex engine.Executor, shards []engine.BatchCursor, dict *rel.Interner, hits []int) {
-	ex.StreamShardedBatches(shards, func(q int, shard engine.BatchCursor) {
+	ex.StreamShardedBatches(nil, shards, func(q int, shard engine.BatchCursor) {
 		for b, ok := shard.NextBatch(); ok; b, ok = shard.NextBatch() {
 			for row := 0; row < b.Len(); row++ {
 				if _, ok := dict.ID(b.Value(0, row)); ok {
@@ -85,10 +86,41 @@ func ShardedReads(ex engine.Executor, shards []engine.BatchCursor, dict *rel.Int
 // ShardedIntern still may not mutate a captured dictionary even
 // without a router: the sibling workers share it.
 func ShardedIntern(ex engine.Executor, shards []engine.BatchCursor, dict *rel.Interner) {
-	ex.StreamShardedBatches(shards, func(q int, shard engine.BatchCursor) {
+	ex.StreamShardedBatches(nil, shards, func(q int, shard engine.BatchCursor) {
 		for b, ok := shard.NextBatch(); ok; b, ok = shard.NextBatch() {
 			for row := 0; row < b.Len(); row++ {
 				dict.Intern(b.Value(0, row)) // want `Interner.Intern on a captured dictionary`
+			}
+			b.Release()
+		}
+	})
+}
+
+// GovernedInternInWorker is the production call shape — a live query
+// governor as the first argument, as division.DivideStream passes it —
+// around the historical bug: the governed exchange is the same method,
+// so the worker's interning is flagged all the same.
+func GovernedInternInWorker(g *exec.Governor, ex engine.Executor, in engine.BatchCursor, dict *rel.Interner) {
+	ex.StreamPartitionedBatches(g, in, func(b *rel.Batch, row int) int {
+		return engine.PartOf(b.Col(0)[row], 2)
+	}, func(q int, shard engine.BatchCursor) {
+		for b, ok := shard.NextBatch(); ok; b, ok = shard.NextBatch() {
+			dict.Intern(b.Value(0, 0)) // want `Interner.Intern on a captured dictionary`
+			b.Release()
+		}
+	})
+}
+
+// GovernedShardedReads mirrors shard.DivideGov's governed sharded
+// exchange: workers probe a captured, sealed dictionary and write only
+// their own result slot — silent.
+func GovernedShardedReads(g *exec.Governor, ex engine.Executor, shards []engine.BatchCursor, dict *rel.Interner, hits []int) {
+	ex.StreamShardedBatches(g, shards, func(q int, shard engine.BatchCursor) {
+		for b, ok := shard.NextBatch(); ok; b, ok = shard.NextBatch() {
+			for row := 0; row < b.Len(); row++ {
+				if _, ok := dict.ID(b.Value(0, row)); ok {
+					hits[q]++
+				}
 			}
 			b.Release()
 		}

@@ -49,7 +49,7 @@ func MutateMaterialized(snap *rel.Snapshot, t rel.Tuple) {
 // read it — both halves of the law flag it.
 func MutateInWorker(ex engine.Executor, shards []engine.BatchCursor, snap *rel.Snapshot) {
 	r := snap.Rel("R")
-	ex.StreamShardedBatches(shards, func(q int, sh engine.BatchCursor) {
+	ex.StreamShardedBatches(nil, shards, func(q int, sh engine.BatchCursor) {
 		for b, ok := sh.NextBatch(); ok; b, ok = sh.NextBatch() {
 			for row := 0; row < b.Len(); row++ {
 				r.Add(rel.Tuple{b.Value(0, row)}) // want `Relation.Add interning into a captured relation` `Relation.Add mutating a published snapshot`
@@ -85,7 +85,7 @@ func ReadSnapshot(snap *rel.Snapshot, t rel.Tuple) int {
 // routing. The dictionary is sealed, so the reads are safe — silent.
 func WorkerReadsSnapshotDict(ex engine.Executor, in engine.BatchCursor, snap *rel.Snapshot, hits []int) {
 	dict := snap.Rel("R").Interner()
-	ex.StreamPartitionedBatches(in, func(b *rel.Batch, row int) int {
+	ex.StreamPartitionedBatches(nil, in, func(b *rel.Batch, row int) int {
 		return int(b.Col(0)[row]) % 2
 	}, func(q int, shard engine.BatchCursor) {
 		for b, ok := shard.NextBatch(); ok; b, ok = shard.NextBatch() {

@@ -475,7 +475,7 @@ func (ClassicRA) Divide(r, s *rel.Relation, sem Semantics) (*rel.Relation, Stats
 }
 
 // StreamedRA evaluates the same classical RA expressions as ClassicRA
-// but through the streaming executor (ra.EvalVectorizedTraced):
+// but through the streaming executor (ra.EvalVectorized):
 // pipelined selections and projections, build-side-only joins,
 // blocking union/difference sinks. The quadratic product still *flows* —
 // Proposition 26 says it must — but it is never stored, so
@@ -489,7 +489,9 @@ func (StreamedRA) Name() string { return "streamed-ra" }
 
 // Divide implements Algorithm.
 func (StreamedRA) Divide(r, s *rel.Relation, sem Semantics) (*rel.Relation, Stats) {
-	res, tr := raDivide(r, s, sem, ra.EvalVectorizedTraced)
+	res, tr := raDivide(r, s, sem, func(e ra.Expr, d rel.ReadStore) (*rel.Relation, *ra.Trace) {
+		return ra.EvalVectorized(nil, e, d, 0)
+	})
 	return res, Stats{
 		TuplesRead:      tr.TotalTuples,
 		MaxMemoryTuples: tr.MaxResident,

@@ -53,7 +53,7 @@ func (p ParallelHash) Divide(r, s *rel.Relation, sem Semantics) (*rel.Relation, 
 	// shard, probing only the shared read-only dictionaries.
 	qualified := make([][]rel.Value, parts)
 	partStats := make([]Stats, parts)
-	ex.Run(parts, func(q int) {
+	ex.Run(nil, parts, func(q int) {
 		st := &partStats[q]
 		local := make(map[uint32]*divGroup) // global group ID -> state
 		var order []uint32
@@ -225,18 +225,15 @@ func (dt *DivisorTable) DivideShardBatches(shard engine.BatchCursor, sem Semanti
 //
 // The returned cursor must be drained to exhaustion. With one worker
 // the stream is consumed inline and delegated to the sequential Hash.
-func (p ParallelHash) DivideStream(rc engine.Cursor, s *rel.Relation, sem Semantics) engine.Cursor {
-	return p.DivideStreamGov(nil, rc, s, sem)
-}
-
-// DivideStreamGov is DivideStream under a query governor (nil means
-// ungoverned, with identical behavior). Governed, the exchange and
-// the emitting goroutine select on the governor's Done channel, so an
-// abort — cancellation, budget trip, worker panic — stops routing and
-// emission promptly, closes the output channel, and strands no
-// goroutine; the in-flight packing batch is registered for abort
-// release. Callers check g.Err() after draining.
-func (p ParallelHash) DivideStreamGov(g *exec.Governor, rc engine.Cursor, s *rel.Relation, sem Semantics) engine.Cursor {
+//
+// g governs the stream; nil means ungoverned, with identical behavior.
+// Governed, the exchange and the emitting goroutine select on the
+// governor's Done channel, so an abort — cancellation, budget trip,
+// worker panic — stops routing and emission promptly, closes the
+// output channel, and strands no goroutine; the in-flight packing
+// batch is registered for abort release. Callers check g.Err() after
+// draining.
+func (p ParallelHash) DivideStream(g *exec.Governor, rc engine.Cursor, s *rel.Relation, sem Semantics) engine.Cursor {
 	if s.Arity() != 1 {
 		panic(fmt.Sprintf("division: S has arity %d, want 1", s.Arity()))
 	}
@@ -281,7 +278,7 @@ func (p ParallelHash) DivideStreamGov(g *exec.Governor, rc engine.Cursor, s *rel
 			slots: make(map[*rel.Interner][]int32),
 		}
 		qualified := make([]map[uint32]bool, ex.WorkerCount())
-		parts := ex.StreamPartitionedBatchesGov(g, in, func(b *rel.Batch, row int) int {
+		parts := ex.StreamPartitionedBatches(g, in, func(b *rel.Batch, row int) int {
 			return engine.PartOf(b.Col(0)[row], ex.WorkerCount())
 		}, func(q int, shard engine.BatchCursor) {
 			qualified[q] = dt.divideGidSlots(shard, sem)

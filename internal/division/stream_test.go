@@ -33,7 +33,7 @@ func TestDivideStreamByteIdenticalToSequential(t *testing.T) {
 			want, _ := Hash{}.Divide(r, s, sem)
 			wantT := want.Tuples()
 			for _, workers := range []int{1, 2, 4} {
-				got := drain(ParallelHash{Workers: workers}.DivideStream(r.Cursor(), s, sem))
+				got := drain(ParallelHash{Workers: workers}.DivideStream(nil, r.Cursor(), s, sem))
 				if len(got) != len(wantT) {
 					t.Fatalf("seed %d workers=%d %s: %d tuples, want %d", seed, workers, sem, len(got), len(wantT))
 				}
@@ -63,7 +63,7 @@ func TestDivideStreamFromComputedCursor(t *testing.T) {
 	}
 	want, _ := Hash{}.Divide(filtered, s, Containment)
 	fc := &filterCursor{in: r.Cursor()}
-	got := drain(ParallelHash{Workers: 3}.DivideStream(fc, s, Containment))
+	got := drain(ParallelHash{Workers: 3}.DivideStream(nil, fc, s, Containment))
 	if len(got) != want.Len() {
 		t.Fatalf("streamed-from-cursor division: %d tuples, want %d", len(got), want.Len())
 	}
@@ -93,9 +93,9 @@ func (c *filterCursor) Next() (rel.Tuple, bool) {
 func TestDivideStreamDeterministic(t *testing.T) {
 	r, s := workload.Division{Groups: 70, GroupSize: 5, DivisorSize: 3,
 		MatchFraction: 0.3, Domain: 32, Seed: 4}.Generate()
-	first := drain(ParallelHash{Workers: 4}.DivideStream(r.Cursor(), s, Containment))
+	first := drain(ParallelHash{Workers: 4}.DivideStream(nil, r.Cursor(), s, Containment))
 	for run := 0; run < 4; run++ {
-		again := drain(ParallelHash{Workers: 4}.DivideStream(r.Cursor(), s, Containment))
+		again := drain(ParallelHash{Workers: 4}.DivideStream(nil, r.Cursor(), s, Containment))
 		if fmt.Sprint(again) != fmt.Sprint(first) {
 			t.Fatalf("run %d: emission differs", run)
 		}

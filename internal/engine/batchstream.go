@@ -19,8 +19,8 @@ package engine
 // and workers always see their channel closed when the input is
 // exhausted. (With more partitions than workers, a bounded channel for
 // an unclaimed partition could fill while every worker waits for input
-// the router cannot deliver.) The output-side helpers, the ordered
-// merges, have no such constraint: their channels are drained by an
+// the router cannot deliver.) The output-side helper, the ordered
+// merge, has no such constraint: its channels are drained by an
 // independent consumer, so producers may outnumber workers freely.
 
 import (
@@ -86,13 +86,9 @@ const batchChanCap = 4
 // dictionary-free columns before the exchange (as
 // division.DivideStream does) or have workers defer decoding until
 // the exchange has returned.
-func (e Executor) StreamPartitionedBatches(in BatchCursor, route func(b *rel.Batch, row int) int, work func(q int, shard BatchCursor)) int {
-	return e.StreamPartitionedBatchesGov(nil, in, route, work)
-}
-
-// StreamPartitionedBatchesGov is StreamPartitionedBatches under a
-// query governor (nil means ungoverned, with identical behavior).
-// Three robustness properties hold in every mode:
+//
+// g governs the exchange; nil means ungoverned, with identical
+// behavior. Three robustness properties hold in every mode:
 //
 //   - a work callback that returns before draining its shard does not
 //     strand the router: the worker drains and releases the remainder
@@ -108,7 +104,7 @@ func (e Executor) StreamPartitionedBatches(in BatchCursor, route func(b *rel.Bat
 //     router failure — every staging batch and every batch still in
 //     flight on a channel is released before the exchange returns, so
 //     no abort path can leak a pooled batch.
-func (e Executor) StreamPartitionedBatchesGov(g *exec.Governor, in BatchCursor, route func(b *rel.Batch, row int) int, work func(q int, shard BatchCursor)) int {
+func (e Executor) StreamPartitionedBatches(g *exec.Governor, in BatchCursor, route func(b *rel.Batch, row int) int, work func(q int, shard BatchCursor)) int {
 	w := e.WorkerCount()
 	if w <= 1 {
 		work(0, in)
@@ -180,7 +176,7 @@ func (e Executor) StreamPartitionedBatchesGov(g *exec.Governor, in BatchCursor, 
 			}
 		}
 	}()
-	e.RunGoverned(g, w, func(q int) {
+	e.Run(g, w, func(q int) {
 		defer func() {
 			// Abort before draining, so the router stops the moment a
 			// worker fails; then release whatever is still in flight.
@@ -196,7 +192,7 @@ func (e Executor) StreamPartitionedBatchesGov(g *exec.Governor, in BatchCursor, 
 		work(q, ChanBatchCursor{C: chans[q]})
 	})
 	router.Wait()
-	// After an abort RunGoverned skips unclaimed partitions, so their
+	// After an abort Run skips unclaimed partitions, so their
 	// channels were never drained by a worker; the router has closed
 	// every channel by now, so this sweep is finite and releases any
 	// batch still in flight.
@@ -214,74 +210,12 @@ func (e Executor) StreamPartitionedBatchesGov(g *exec.Governor, in BatchCursor, 
 // router and no channels are needed; work(q, shards[q]) runs once per
 // shard over the worker pool. It returns after every shard has been
 // processed, reporting the shard count for symmetry with
-// StreamPartitionedBatches.
-func (e Executor) StreamShardedBatches(shards []BatchCursor, work func(q int, shard BatchCursor)) int {
-	e.Run(len(shards), func(q int) { work(q, shards[q]) })
+// StreamPartitionedBatches. Governed (g non-nil), a panicking shard
+// task aborts the query instead of killing the process and remaining
+// shards are skipped; callers check g.Err().
+func (e Executor) StreamShardedBatches(g *exec.Governor, shards []BatchCursor, work func(q int, shard BatchCursor)) int {
+	e.Run(g, len(shards), func(q int) { work(q, shards[q]) })
 	return len(shards)
-}
-
-// StreamShardedBatchesGov is StreamShardedBatches under a query
-// governor: a panicking shard task aborts the query instead of
-// killing the process and remaining shards are skipped. Callers
-// check g.Err().
-func (e Executor) StreamShardedBatchesGov(g *exec.Governor, shards []BatchCursor, work func(q int, shard BatchCursor)) int {
-	e.RunGoverned(g, len(shards), func(q int) { work(q, shards[q]) })
-	return len(shards)
-}
-
-// OrderedMergeBatches returns a batch cursor draining the channels in
-// slice order: all of channel 0 (until it closes), then channel 1, and
-// so on. Producers fill their own channel concurrently and close it
-// when done, so the consumer streams partition 0's results while later
-// partitions are still computing — the cursor-producing side of the
-// exchange. The cursor must be drained to exhaustion, or producers blocked on full channels
-// leak; use OrderedMergeBatchesStop when the consumer may abandon the
-// stream early.
-func OrderedMergeBatches(chans []chan *rel.Batch) BatchCursor {
-	return &OrderedBatchMergeCursor{chans: chans}
-}
-
-// OrderedMergeBatchesStop is OrderedMergeBatches for abandonable
-// consumers: the producers must send with SendOr against stop.C()
-// and close their channels when done. Close fires the stop, then
-// drains every channel to its close releasing the batches still in
-// flight, so after Close returns no producer is blocked and no
-// pooled batch is stranded.
-func OrderedMergeBatchesStop(chans []chan *rel.Batch, stop *Stop) *OrderedBatchMergeCursor {
-	return &OrderedBatchMergeCursor{chans: chans, stop: stop}
-}
-
-// OrderedBatchMergeCursor is the concrete ordered batch merge: a
-// BatchCursor with an early-close escape hatch (see
-// OrderedMergeBatchesStop).
-type OrderedBatchMergeCursor struct {
-	chans []chan *rel.Batch
-	stop  *Stop
-	i     int
-}
-
-// NextBatch implements BatchCursor.
-func (c *OrderedBatchMergeCursor) NextBatch() (*rel.Batch, bool) {
-	for c.i < len(c.chans) {
-		if b, ok := <-c.chans[c.i]; ok {
-			return b, true
-		}
-		c.i++
-	}
-	return nil, false
-}
-
-// Close abandons the merge: it fires the stop so producers give up
-// on blocked sends, then drains every channel to its close,
-// releasing every batch still in flight. Safe to call at any point,
-// including after exhaustion; the cursor yields nothing afterwards.
-func (c *OrderedBatchMergeCursor) Close() {
-	c.stop.Stop()
-	for ; c.i < len(c.chans); c.i++ {
-		for b := range c.chans[c.i] {
-			b.Release()
-		}
-	}
 }
 
 // ChunkCap is the row count of one tuple chunk on the chunked merge
@@ -294,19 +228,14 @@ const ChunkCap = 256
 // OrderedMergeChunks returns a tuple cursor draining channels of tuple
 // chunks in slice order, flattening each chunk in order: the emission
 // sequence is the per-channel concatenation of the produced tuples, at
-// 1/ChunkCap the channel operations of a per-tuple merge. The cursor must be
-// drained to exhaustion; use OrderedMergeChunksStop when the consumer
-// may abandon the stream early.
-func OrderedMergeChunks(chans []chan []rel.Tuple) Cursor {
-	return &orderedChunkMergeCursor{chans: chans}
-}
-
-// OrderedMergeChunksStop is OrderedMergeChunks for abandonable
-// consumers: the producers must send with SendOr against stop.C()
-// and close their channels when done. Close fires the stop and
-// drains every channel to its close, so after Close returns no
-// producer is blocked on a merge channel.
-func OrderedMergeChunksStop(chans []chan []rel.Tuple, stop *Stop) *orderedChunkMergeCursor {
+// 1/ChunkCap the channel operations of a per-tuple merge.
+//
+// stop makes the merge abandonable: the producers send with SendOr
+// against stop.C() and close their channels when done, and Close
+// fires the stop and drains every channel to its close, so after
+// Close returns no producer is blocked on a merge channel. A nil stop
+// never fires; the cursor must then be drained to exhaustion.
+func OrderedMergeChunks(stop *Stop, chans []chan []rel.Tuple) *orderedChunkMergeCursor {
 	return &orderedChunkMergeCursor{chans: chans, stop: stop}
 }
 

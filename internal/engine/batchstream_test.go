@@ -54,7 +54,7 @@ func TestStreamPartitionedBatchesRoutesAll(t *testing.T) {
 			}
 			rows := make([][]idRow, workers)
 			var mu sync.Mutex
-			parts := ex.StreamPartitionedBatches(scanOf(tuples, 2, size), func(b *rel.Batch, row int) int {
+			parts := ex.StreamPartitionedBatches(nil, scanOf(tuples, 2, size), func(b *rel.Batch, row int) int {
 				return int(b.Col(0)[row]) % ex.WorkerCount()
 			}, func(q int, shard BatchCursor) {
 				var local []idRow
@@ -108,49 +108,6 @@ func TestStreamPartitionedBatchesRoutesAll(t *testing.T) {
 	}
 }
 
-// TestOrderedMergeBatches: batches drain channel by channel in slice
-// order.
-func TestOrderedMergeBatches(t *testing.T) {
-	leakcheck.Check(t)
-	chans := make([]chan *rel.Batch, 3)
-	for i := range chans {
-		chans[i] = make(chan *rel.Batch, 4)
-	}
-	dict := rel.NewInterner()
-	mk := func(vals ...int64) *rel.Batch {
-		b := rel.NewBatchSized(1, 8)
-		b.SetDict(0, dict)
-		col := b.WritableCol(0)
-		for i, v := range vals {
-			col[i] = dict.Intern(rel.Int(v))
-		}
-		b.SetLen(len(vals))
-		return b
-	}
-	chans[0] <- mk(1, 2)
-	close(chans[0])
-	chans[2] <- mk(5)
-	close(chans[2])
-	close(chans[1])
-	var got []int64
-	cur := OrderedMergeBatches(chans)
-	for b, ok := cur.NextBatch(); ok; b, ok = cur.NextBatch() {
-		for row := 0; row < b.Len(); row++ {
-			got = append(got, b.Value(0, row).AsInt())
-		}
-		b.Release()
-	}
-	want := []int64{1, 2, 5}
-	if len(got) != len(want) {
-		t.Fatalf("merged %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("merged %v, want %v", got, want)
-		}
-	}
-}
-
 // TestOrderedMergeChunks: chunk channels flatten in channel-then-chunk
 // order.
 func TestOrderedMergeChunks(t *testing.T) {
@@ -165,7 +122,7 @@ func TestOrderedMergeChunks(t *testing.T) {
 	chans[1] <- []rel.Tuple{rel.Ints(4)}
 	close(chans[1])
 	var got []int64
-	cur := OrderedMergeChunks(chans)
+	cur := OrderedMergeChunks(nil, chans)
 	for tp, ok := cur.Next(); ok; tp, ok = cur.Next() {
 		got = append(got, tp[0].AsInt())
 	}

@@ -100,67 +100,30 @@ func (e Executor) PartitionCount() int {
 
 // Run invokes f(i) exactly once for every i in [0, tasks), spreading
 // the calls over the worker pool. Tasks are claimed atomically, so
-// uneven task costs balance across workers. Run returns when all
-// tasks have completed. With one worker (or one task) it degenerates
-// to a sequential loop with no goroutine overhead.
-func (e Executor) Run(tasks int, f func(task int)) {
+// uneven task costs balance across workers. Run returns when every
+// started task has finished. With one worker (or one task) it
+// degenerates to a sequential loop with no goroutine overhead.
+//
+// g governs the pool; nil means ungoverned. Governed, a panicking task
+// aborts the query (recording the first cause) instead of killing the
+// process, and workers stop claiming tasks once the query is aborted —
+// callers check g.Err() for the outcome.
+func (e Executor) Run(g *exec.Governor, tasks int, f func(task int)) {
 	if tasks <= 0 {
 		return
 	}
-	w := e.WorkerCount()
-	if w > tasks {
-		w = tasks
-	}
-	if w <= 1 {
-		for i := 0; i < tasks; i++ {
+	run := f
+	if g != nil {
+		run = func(i int) {
+			defer func() {
+				if r := recover(); r != nil {
+					g.AbortRecovered(r)
+				}
+			}()
 			f(i)
 		}
-		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= tasks {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// RunGoverned is Run under a query governor: a panicking task aborts
-// the query (recording the first cause) instead of killing the
-// process, workers stop claiming tasks once the query is aborted, and
-// RunGoverned returns only after every started task has finished —
-// callers check g.Err() for the outcome. With a nil governor it is
-// exactly Run.
-func (e Executor) RunGoverned(g *exec.Governor, tasks int, f func(task int)) {
-	if g == nil {
-		e.Run(tasks, f)
-		return
-	}
-	run := func(i int) {
-		defer func() {
-			if r := recover(); r != nil {
-				g.AbortRecovered(r)
-			}
-		}()
-		f(i)
-	}
-	if tasks <= 0 {
-		return
-	}
-	w := e.WorkerCount()
-	if w > tasks {
-		w = tasks
-	}
+	w := min(e.WorkerCount(), tasks)
 	if w <= 1 {
 		for i := 0; i < tasks && !g.Aborted(); i++ {
 			run(i)

@@ -47,7 +47,7 @@ func TestExecutorRunsEveryTaskOnce(t *testing.T) {
 		ex := Executor{Workers: workers}
 		const tasks = 1000
 		counts := make([]atomic.Int32, tasks)
-		ex.Run(tasks, func(i int) { counts[i].Add(1) })
+		ex.Run(nil, tasks, func(i int) { counts[i].Add(1) })
 		for i := range counts {
 			if n := counts[i].Load(); n != 1 {
 				t.Fatalf("workers=%d: task %d ran %d times", workers, i, n)
@@ -62,7 +62,7 @@ func TestExecutorParallelism(t *testing.T) {
 	inFlight, peak := 0, 0
 	ready := make(chan struct{})
 	var once sync.Once
-	ex.Run(8, func(i int) {
+	ex.Run(nil, 8, func(i int) {
 		mu.Lock()
 		inFlight++
 		if inFlight > peak {

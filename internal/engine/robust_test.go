@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -24,7 +25,7 @@ func TestStreamPartitionedEarlyStopJoinsRouter(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
 		live, _, _ := rel.BatchPoolStats()
 		ex := Executor{Workers: workers}
-		ex.StreamPartitionedBatches(r.BatchScanSized(1), func(b *rel.Batch, row int) int {
+		ex.StreamPartitionedBatches(nil, r.BatchScanSized(1), func(b *rel.Batch, row int) int {
 			return int(b.Col(0)[row]) % ex.WorkerCount()
 		}, func(q int, shard BatchCursor) {
 			if b, ok := shard.NextBatch(); ok { // abandon the rest
@@ -49,7 +50,7 @@ func TestStreamPartitionedBatchesEarlyStopReleasesAll(t *testing.T) {
 	for _, workers := range []int{2, 4} {
 		live, _, _ := rel.BatchPoolStats()
 		ex := Executor{Workers: workers}
-		ex.StreamPartitionedBatches(scanOf(tuples, 2, 64), func(b *rel.Batch, row int) int {
+		ex.StreamPartitionedBatches(nil, scanOf(tuples, 2, 64), func(b *rel.Batch, row int) int {
 			return int(b.Col(0)[row]) % ex.WorkerCount()
 		}, func(q int, shard BatchCursor) {
 			if b, ok := shard.NextBatch(); ok {
@@ -75,11 +76,9 @@ func TestStreamPartitionedGovWorkerPanicAborts(t *testing.T) {
 		tuples = append(tuples, rel.Ints(int64(i%17), int64(i)))
 	}
 	live, _, _ := rel.BatchPoolStats()
-	err := func() (err error) {
-		g := exec.NewGovernor(nil, exec.Limits{})
-		defer g.Recover(&err)
+	err := exec.Do(context.Background(), exec.Limits{}, func(g *exec.Governor) {
 		ex := Executor{Workers: 4}
-		ex.StreamPartitionedBatchesGov(g, scanOf(tuples, 2, 64), func(b *rel.Batch, row int) int {
+		ex.StreamPartitionedBatches(g, scanOf(tuples, 2, 64), func(b *rel.Batch, row int) int {
 			return int(b.Col(0)[row]) % ex.WorkerCount()
 		}, func(q int, shard BatchCursor) {
 			if q == 1 {
@@ -90,8 +89,7 @@ func TestStreamPartitionedGovWorkerPanicAborts(t *testing.T) {
 			}
 		})
 		g.Check() // observe the abort on the boundary goroutine
-		return nil
-	}()
+	})
 	if err == nil {
 		t.Fatal("want abort error, got nil")
 	}
@@ -110,68 +108,25 @@ func TestStreamPartitionedGovWorkerPanicAborts(t *testing.T) {
 func TestOrderedMergeStopCloseUnblocksProducers(t *testing.T) {
 	leakcheck.Check(t)
 	stop := NewStop()
-	chans := make([]chan *rel.Batch, 4)
+	chans := make([]chan []rel.Tuple, 4)
 	for i := range chans {
-		chans[i] = make(chan *rel.Batch, 2)
-		go func(ch chan *rel.Batch) {
+		chans[i] = make(chan []rel.Tuple, 2)
+		go func(ch chan []rel.Tuple) {
 			defer close(ch)
 			for j := 0; j < 10000; j++ {
-				b := rel.NewBatch(1)
-				if !SendOr(ch, b, stop.C()) {
-					b.Release()
+				if !SendOr(ch, []rel.Tuple{rel.Ints(int64(j))}, stop.C()) {
 					return
 				}
 			}
 		}(chans[i])
 	}
-	cur := OrderedMergeBatchesStop(chans, stop)
-	if b, ok := cur.NextBatch(); ok {
-		b.Release()
-	} else {
+	cur := OrderedMergeChunks(stop, chans)
+	if _, ok := cur.Next(); !ok {
 		t.Fatal("merge yielded nothing")
 	}
 	cur.Close()
-	if _, ok := cur.NextBatch(); ok {
+	if _, ok := cur.Next(); ok {
 		t.Fatal("cursor yielded after Close")
-	}
-}
-
-// TestOrderedMergeBatchesStopCloseReleasesInFlight: closing the batch
-// merge must also release every batch still buffered on the channels.
-func TestOrderedMergeBatchesStopCloseReleasesInFlight(t *testing.T) {
-	leakcheck.Check(t)
-	live, _, _ := rel.BatchPoolStats()
-	stop := NewStop()
-	chans := make([]chan *rel.Batch, 3)
-	for i := range chans {
-		chans[i] = make(chan *rel.Batch, 2)
-		go func(ch chan *rel.Batch) {
-			defer close(ch)
-			for j := 0; j < 100; j++ {
-				b := rel.NewBatch(1)
-				if !SendOr(ch, b, stop.C()) {
-					b.Release()
-					return
-				}
-			}
-		}(chans[i])
-	}
-	cur := OrderedMergeBatchesStop(chans, stop)
-	if b, ok := cur.NextBatch(); ok {
-		b.Release()
-	} else {
-		t.Fatal("merge yielded nothing")
-	}
-	cur.Close()
-	// The producers' final sends may still race Close's drain; settle
-	// via the leak check's grace implicitly by re-draining here.
-	for _, ch := range chans {
-		for b := range ch {
-			b.Release()
-		}
-	}
-	if after, _, _ := rel.BatchPoolStats(); after != live {
-		t.Fatalf("%d batches leaked after Close", after-live)
 	}
 }
 
@@ -182,7 +137,7 @@ func TestRunGovernedSkipsAfterAbort(t *testing.T) {
 	leakcheck.Check(t)
 	boom := errors.New("task failed")
 	g := exec.NewGovernor(nil, exec.Limits{})
-	Executor{Workers: 1}.RunGoverned(g, 100, func(i int) {
+	Executor{Workers: 1}.Run(g, 100, func(i int) {
 		if i == 3 {
 			panic(boom)
 		}

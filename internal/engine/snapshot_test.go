@@ -53,7 +53,7 @@ func TestRoutedExchangeReadsSnapshotDict(t *testing.T) {
 	for _, workers := range []int{2, 4} {
 		ex := Executor{Workers: workers}
 		sums := make([]int64, workers)
-		ex.StreamPartitionedBatches(r.BatchScan(), func(b *rel.Batch, row int) int {
+		ex.StreamPartitionedBatches(nil, r.BatchScan(), func(b *rel.Batch, row int) int {
 			return PartOf(b.Col(0)[row], workers)
 		}, func(q int, shard BatchCursor) {
 			for b, ok := shard.NextBatch(); ok; b, ok = shard.NextBatch() {

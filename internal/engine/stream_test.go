@@ -28,7 +28,7 @@ func TestStreamPartitionedDeliversEveryTupleOnce(t *testing.T) {
 		w := ex.WorkerCount()
 		got := make([][]rel.Tuple, w)
 		var mu sync.Mutex
-		parts := ex.StreamPartitionedBatches(r.BatchScanSized(64), func(b *rel.Batch, row int) int {
+		parts := ex.StreamPartitionedBatches(nil, r.BatchScanSized(64), func(b *rel.Batch, row int) int {
 			return PartOf(uint32(b.Value(0, row).AsInt()), w)
 		}, func(q int, shard BatchCursor) {
 			var local []rel.Tuple
@@ -83,7 +83,7 @@ func TestStreamPartitionedPipelines(t *testing.T) {
 	}
 	var consumed atomic.Int64
 	ex := Executor{Workers: 4}
-	ex.StreamPartitionedBatches(r.BatchScanSized(64), func(b *rel.Batch, row int) int {
+	ex.StreamPartitionedBatches(nil, r.BatchScanSized(64), func(b *rel.Batch, row int) int {
 		return PartOf(b.Col(0)[row], ex.WorkerCount())
 	}, func(q int, shard BatchCursor) {
 		for b, ok := shard.NextBatch(); ok; b, ok = shard.NextBatch() {
@@ -97,41 +97,29 @@ func TestStreamPartitionedPipelines(t *testing.T) {
 }
 
 // TestOrderedMergeDrainsInOrder: the merge cursor yields channel 0's
-// batches first, then channel 1's, regardless of how the concurrent
+// chunks first, then channel 1's, regardless of how the concurrent
 // producers interleave.
 func TestOrderedMergeDrainsInOrder(t *testing.T) {
 	leakcheck.Check(t)
-	dict := rel.NewInterner()
-	for i := int64(0); i < 3; i++ {
-		for j := int64(0); j < 3; j++ {
-			dict.Intern(rel.Int(10*i + j))
-		}
-	}
-	chans := make([]chan *rel.Batch, 3)
+	chans := make([]chan []rel.Tuple, 3)
 	for i := range chans {
-		chans[i] = make(chan *rel.Batch, 1)
+		chans[i] = make(chan []rel.Tuple, 1)
 	}
 	for i := len(chans) - 1; i >= 0; i-- { // start producers out of order
 		go func(i int) {
 			for j := 0; j < 3; j++ {
-				b := rel.NewBatchSized(1, 1)
-				b.SetDict(0, dict)
-				id, _ := dict.ID(rel.Int(int64(10*i + j)))
-				b.WritableCol(0)[0] = id
-				b.SetLen(1)
-				chans[i] <- b
+				chans[i] <- []rel.Tuple{rel.Ints(int64(10*i + j))}
 			}
 			close(chans[i])
 		}(i)
 	}
-	cur := OrderedMergeBatches(chans)
+	cur := OrderedMergeChunks(nil, chans)
 	var seen []int64
-	for b, ok := cur.NextBatch(); ok; b, ok = cur.NextBatch() {
-		seen = append(seen, b.Value(0, 0).AsInt())
-		b.Release()
+	for tp, ok := cur.Next(); ok; tp, ok = cur.Next() {
+		seen = append(seen, tp[0].AsInt())
 	}
 	if len(seen) != 9 {
-		t.Fatalf("merged %d batches, want 9", len(seen))
+		t.Fatalf("merged %d tuples, want 9", len(seen))
 	}
 	for k, v := range seen {
 		if want := int64(10*(k/3) + k%3); v != want {
@@ -154,7 +142,7 @@ func TestStreamShardedRunsEveryShardOnce(t *testing.T) {
 		}
 		var calls [shards]atomic.Int64
 		got := make([]int64, shards)
-		n := Executor{Workers: workers}.StreamShardedBatches(cursors, func(q int, shard BatchCursor) {
+		n := Executor{Workers: workers}.StreamShardedBatches(nil, cursors, func(q int, shard BatchCursor) {
 			calls[q].Add(1)
 			b, ok := shard.NextBatch()
 			if !ok {

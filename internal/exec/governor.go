@@ -121,6 +121,21 @@ func NewGovernor(ctx context.Context, limits Limits) *Governor {
 	return g
 }
 
+// Do is the governed boundary: it runs f under a fresh Governor for
+// ctx and limits and returns the query's outcome. Cancellation,
+// budget trips and panics inside f — on its goroutine or any worker
+// the governor spans — come back as the first abort cause (a
+// *BudgetError, the context's error, or a *PanicError); on every path
+// the registered cleanups have run and every pooled batch the query
+// held is released before Do returns. Results written by f are only
+// meaningful when the error is nil.
+func Do(ctx context.Context, limits Limits, f func(g *Governor)) (err error) {
+	g := NewGovernor(ctx, limits)
+	defer g.Recover(&err)
+	f(g)
+	return nil
+}
+
 // Done returns a channel closed when the query aborts or finishes.
 // Bounded-channel sends inside exchanges select on it so an
 // abandoned consumer can never strand a producer. On a nil Governor

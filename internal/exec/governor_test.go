@@ -77,14 +77,11 @@ func TestAbortFirstWins(t *testing.T) {
 // unwinds with the recorded cause.
 func TestCheckThrowsAfterAbort(t *testing.T) {
 	boom := errors.New("aborted elsewhere")
-	err := func() (err error) {
-		g := exec.NewGovernor(nil, exec.Limits{})
-		defer g.Recover(&err)
+	err := exec.Do(context.Background(), exec.Limits{}, func(g *exec.Governor) {
 		g.Abort(boom)
 		g.Check()
 		t.Error("Check returned after abort")
-		return nil
-	}()
+	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("want %v, got %v", boom, err)
 	}
@@ -94,12 +91,9 @@ func TestCheckThrowsAfterAbort(t *testing.T) {
 // unwinds only as far as the deferred Recover.
 func TestThrowUnwindsToBoundary(t *testing.T) {
 	boom := errors.New("thrown")
-	err := func() (err error) {
-		g := exec.NewGovernor(nil, exec.Limits{})
-		defer g.Recover(&err)
+	err := exec.Do(context.Background(), exec.Limits{}, func(g *exec.Governor) {
 		exec.Throw(g, boom)
-		return nil
-	}()
+	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("want %v, got %v", boom, err)
 	}
@@ -108,14 +102,11 @@ func TestThrowUnwindsToBoundary(t *testing.T) {
 // TestResidentBudget: CheckResident trips exactly past the limit with
 // a typed, inspectable BudgetError.
 func TestResidentBudget(t *testing.T) {
-	err := func() (err error) {
-		g := exec.NewGovernor(nil, exec.Limits{MaxResident: 10})
-		defer g.Recover(&err)
+	err := exec.Do(context.Background(), exec.Limits{MaxResident: 10}, func(g *exec.Governor) {
 		g.CheckResident(10) // at the limit: fine
 		g.CheckResident(11) // past it: throws
 		t.Error("CheckResident(11) returned")
-		return nil
-	}()
+	})
 	var be *exec.BudgetError
 	if !errors.As(err, &be) {
 		t.Fatalf("want *BudgetError, got %v", err)
@@ -134,16 +125,13 @@ func TestLiveBatchBudget(t *testing.T) {
 			b.Release()
 		}
 	}()
-	err := func() (err error) {
-		g := exec.NewGovernor(nil, exec.Limits{MaxLiveBatches: 2})
-		defer g.Recover(&err)
+	err := exec.Do(context.Background(), exec.Limits{MaxLiveBatches: 2}, func(g *exec.Governor) {
 		for i := 0; i < 3; i++ {
 			held = append(held, rel.NewBatch(1))
 		}
 		g.Check()
 		t.Error("Check returned past the live-batch budget")
-		return nil
-	}()
+	})
 	var be *exec.BudgetError
 	if !errors.As(err, &be) {
 		t.Fatalf("want *BudgetError, got %v", err)
@@ -157,17 +145,36 @@ func TestLiveBatchBudget(t *testing.T) {
 // synchronously and the boundary error wraps context.Canceled.
 func TestCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	err := func() (err error) {
-		g := exec.NewGovernor(ctx, exec.Limits{})
-		defer g.Recover(&err)
+	err := exec.Do(ctx, exec.Limits{}, func(g *exec.Governor) {
 		g.Check() // not canceled yet
 		cancel()
 		g.Check()
 		t.Error("Check returned after cancel")
-		return nil
-	}()
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
+	}
+}
+
+// TestDoBoundary: exec.Do reports success as nil, converts a plain
+// panic into a *PanicError, and runs the registered cleanups on both
+// paths before returning.
+func TestDoBoundary(t *testing.T) {
+	for _, fail := range []bool{false, true} {
+		cleaned := false
+		err := exec.Do(context.Background(), exec.Limits{}, func(g *exec.Governor) {
+			g.OnAbort(func() { cleaned = true })
+			if fail {
+				panic("evaluator bug")
+			}
+		})
+		if !cleaned {
+			t.Errorf("fail=%v: cleanup did not run", fail)
+		}
+		var pe *exec.PanicError
+		if fail != errors.As(err, &pe) {
+			t.Errorf("fail=%v: error %v", fail, err)
+		}
 	}
 }
 

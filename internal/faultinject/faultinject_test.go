@@ -89,20 +89,24 @@ func arms(t *testing.T, schema rel.Schema, batchSize int) []arm {
 	xraExpr := xra.ContainmentDivision("R", "S")
 	return []arm{
 		{name: "ra", run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
-			res, _, err := ra.EvalVectorizedContext(ctx, raExpr, d, ra.StreamOptions{BatchSize: batchSize, Limits: lim})
-			return res, err
+			return governed(ctx, lim, func(g *exec.Governor) (*rel.Relation, *ra.Trace) {
+				return ra.EvalVectorized(g, raExpr, d, batchSize)
+			})
 		}},
 		{name: "ra/diff", zeroResident: true, run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
-			res, _, err := ra.EvalVectorizedContext(ctx, raExpr2, d, ra.StreamOptions{BatchSize: batchSize, Limits: lim})
-			return res, err
+			return governed(ctx, lim, func(g *exec.Governor) (*rel.Relation, *ra.Trace) {
+				return ra.EvalVectorized(g, raExpr2, d, batchSize)
+			})
 		}},
 		{name: "sa", run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
-			res, _, err := sa.EvalVectorizedContext(ctx, saExpr, d, batchSize, lim)
-			return res, err
+			return governed(ctx, lim, func(g *exec.Governor) (*rel.Relation, *ra.Trace) {
+				return sa.EvalVectorized(g, saExpr, d, batchSize)
+			})
 		}},
 		{name: "xra", run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
-			res, _, err := xra.EvalVectorizedContext(ctx, xraExpr, d, batchSize, lim)
-			return res, err
+			return governed(ctx, lim, func(g *exec.Governor) (*rel.Relation, *ra.Trace) {
+				return xra.EvalVectorized(g, xraExpr, d, batchSize)
+			})
 		}},
 		{name: "plan", run: func(ctx context.Context, d rel.ReadStore, lim exec.Limits) (*rel.Relation, error) {
 			p, err := plan.Compile(raExpr, d, plan.Options{Optimize: true, BatchSize: batchSize, Limits: lim})
@@ -113,6 +117,23 @@ func arms(t *testing.T, schema rel.Schema, batchSize int) []arm {
 			return res, err
 		}},
 	}
+}
+
+// governed runs one streaming evaluation at the exec.Do boundary,
+// returning a nil result on error.
+func governed(ctx context.Context, lim exec.Limits, eval func(g *exec.Governor) (*rel.Relation, *ra.Trace)) (*rel.Relation, error) {
+	var res *rel.Relation
+	if err := exec.Do(ctx, lim, func(g *exec.Governor) { res, _ = eval(g) }); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// raGoverned is governed over the RA executor.
+func raGoverned(ctx context.Context, e ra.Expr, d rel.ReadStore, batchSize int) (*rel.Relation, error) {
+	return governed(ctx, exec.Limits{}, func(g *exec.Governor) (*rel.Relation, *ra.Trace) {
+		return ra.EvalVectorized(g, e, d, batchSize)
+	})
 }
 
 // checkAborted asserts the per-abort contract shared by every test:
@@ -272,13 +293,13 @@ func TestCleanRunAfterAborts(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		st := faultinject.Wrap(snap, faultinject.Fault{FailAfter: 2, Err: errInjected})
-		_, _, err := ra.EvalVectorizedContext(context.Background(), e, st, ra.StreamOptions{BatchSize: 8})
+		_, err := raGoverned(context.Background(), e, st, 8)
 		if !errors.Is(err, errInjected) {
 			t.Fatalf("warm-up abort %d: %v", i, err)
 		}
 	}
 	want := ra.Eval(e, snap)
-	got, _, err := ra.EvalVectorizedContext(context.Background(), e, snap, ra.StreamOptions{BatchSize: 8})
+	got, err := raGoverned(context.Background(), e, snap, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +335,7 @@ func TestCancellationLatencyWithinOneBatch(t *testing.T) {
 			Delay:      100 * time.Microsecond,
 		})
 		live, _, _ := rel.BatchPoolStats()
-		res, _, rerr := ra.EvalVectorizedContext(ctx, e, st, ra.StreamOptions{BatchSize: bs})
+		res, rerr := raGoverned(ctx, e, st, bs)
 		checkAborted(t, fmt.Sprintf("bs=%d", bs), res, rerr, context.Canceled, live)
 		if extra := st.Rows() - cancelAt; extra < 0 || extra > bs {
 			t.Errorf("bs=%d: scan ran %d rows past the cancel; want at most one batch (%d)", bs, extra, bs)
@@ -332,7 +353,7 @@ func TestFaultStoreIsTransparent(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := faultinject.Wrap(snap, faultinject.Fault{})
-	got := ra.EvalVectorized(e, st)
+	got, _ := ra.EvalVectorized(nil, e, st, 0)
 	want := ra.Eval(e, snap)
 	if got.String() != want.String() {
 		t.Fatalf("transparent wrap diverged:\n got %v\nwant %v", got, want)

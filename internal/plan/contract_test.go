@@ -3,22 +3,9 @@ package plan_test
 import (
 	"testing"
 
-	"radiv/internal/plan"
-	"radiv/internal/rel"
 	"radiv/internal/tuplecontract"
 )
 
 // TestMain checks this package's entries of the tuple contract; see
 // internal/tuplecontract.
 func TestMain(m *testing.M) { tuplecontract.Main(m, "plan/") }
-
-// contractTrace renders a result and its trace in the golden format.
-func contractTrace(res *rel.Relation, tr *plan.Trace) string {
-	labels := make([]string, len(tr.Steps))
-	flows := make([]int, len(tr.Steps))
-	for i, s := range tr.Steps {
-		labels[i] = s.Label
-		flows[i] = s.Size
-	}
-	return tuplecontract.Trace(res, labels, flows, tr.MaxIntermediate, tr.TotalTuples, tr.MaxResident)
-}

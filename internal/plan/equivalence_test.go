@@ -77,7 +77,7 @@ func checkEquivalence(t *testing.T, name string, e ra.Expr, d *rel.Database) {
 		if err := sameEmission(want, traced); err != nil {
 			t.Errorf("%s: optimized traced (engine %s) at batch %d: %v", e, p.Engine(), size, err)
 		}
-		if got := contractTrace(traced, tr); got != pinned {
+		if got := tuplecontract.Trace(traced, tr); got != pinned {
 			t.Errorf("%s (engine %s) at batch %d: contract mismatch\n got: %s\nwant: %s", name, p.Engine(), size, got, pinned)
 		}
 	}

@@ -73,35 +73,11 @@ type Plan struct {
 	divR, divS string
 }
 
-// Trace mirrors the evaluators' traces in engine-neutral form.
-type Trace struct {
-	// Steps lists each executed operator with its emission count, in
-	// post-order.
-	Steps []Step
-	// MaxIntermediate is the maximum emission count over all
-	// operators — the paper's intermediate-result measure, which ST5
-	// watches drop from quadratic to linear under the rewrite.
-	MaxIntermediate int
-	// TotalTuples is the summed emission count.
-	TotalTuples int
-	// MaxResident is the peak tuple count held in operator state (see
-	// ra.Trace.MaxResident).
-	MaxResident int
-}
-
-// Step is one operator's trace record.
-type Step struct {
-	Label string
-	Size  int
-}
-
-func (tr *Trace) record(label string, size int) {
-	tr.Steps = append(tr.Steps, Step{Label: label, Size: size})
-	if size > tr.MaxIntermediate {
-		tr.MaxIntermediate = size
-	}
-	tr.TotalTuples += size
-}
+// Trace is the evaluators' one trace type: each executed operator's
+// emission count in post-order, MaxIntermediate — the paper's
+// intermediate-result measure, which ST5 watches drop from quadratic
+// to linear under the rewrite — TotalTuples and MaxResident.
+type Trace = ra.Trace
 
 // Compile validates the expression, optionally rewrites it, and binds
 // it to the store and an engine. The returned plan is immutable and
@@ -173,13 +149,11 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*rel.Relation, error) {
 			if workers < 1 {
 				workers = 1
 			}
-			res, err := func() (res *rel.Relation, err error) {
-				g := exec.NewGovernor(ctx, p.opts.Limits)
-				defer g.Recover(&err)
+			var res *rel.Relation
+			if err := exec.Do(ctx, p.opts.Limits, func(g *exec.Governor) {
 				r, _ := shard.DivideGov(g, src, p.divR, p.divS, division.Containment, workers)
-				return canonical(r), nil
-			}()
-			if err != nil {
+				res = canonical(r)
+			}); err != nil {
 				return nil, err
 			}
 			return res, nil
@@ -202,43 +176,27 @@ func (p *Plan) ExecuteTraced() (*rel.Relation, *Trace) {
 // plan's streaming engine so the trace exists. On error the relation
 // and trace are nil.
 func (p *Plan) ExecuteTracedContext(ctx context.Context) (*rel.Relation, *Trace, error) {
-	res, tr, err := func() (res *rel.Relation, tr *Trace, err error) {
-		g := exec.NewGovernor(ctx, p.opts.Limits)
-		defer g.Recover(&err)
-		r, t := p.run(g)
-		return canonical(r), t, nil
-	}()
-	if err != nil {
+	var res *rel.Relation
+	var tr *Trace
+	if err := exec.Do(ctx, p.opts.Limits, func(g *exec.Governor) {
+		res, tr = p.run(g)
+		res = canonical(res)
+	}); err != nil {
 		return nil, nil, err
 	}
 	return res, tr, nil
 }
 
 // run dispatches to the bound engine, threading the governor (nil =
-// ungoverned) into its executor core.
+// ungoverned) into its executor.
 func (p *Plan) run(g *exec.Governor) (*rel.Relation, *Trace) {
 	switch p.engine {
 	case EngineRA:
-		res, t := ra.EvalVectorizedGoverned(g, p.raExpr, p.d, ra.StreamOptions{BatchSize: p.opts.BatchSize})
-		tr := &Trace{MaxIntermediate: t.MaxIntermediate, TotalTuples: t.TotalTuples, MaxResident: t.MaxResident}
-		for _, s := range t.Steps {
-			tr.Steps = append(tr.Steps, Step{Label: s.Expr.String(), Size: s.Size})
-		}
-		return res, tr
+		return ra.EvalVectorized(g, p.raExpr, p.d, p.opts.BatchSize)
 	case EngineSA:
-		res, t := sa.EvalVectorizedGoverned(g, p.saExpr, p.d, p.opts.BatchSize)
-		tr := &Trace{MaxIntermediate: t.MaxIntermediate, TotalTuples: t.TotalTuples, MaxResident: t.MaxResident}
-		for _, s := range t.Steps {
-			tr.Steps = append(tr.Steps, Step{Label: s.Expr.String(), Size: s.Size})
-		}
-		return res, tr
+		return sa.EvalVectorized(g, p.saExpr, p.d, p.opts.BatchSize)
 	case EngineXRA:
-		res, t := xra.EvalVectorizedGoverned(g, p.xraExpr, p.d, p.opts.BatchSize)
-		tr := &Trace{MaxIntermediate: t.MaxIntermediate, TotalTuples: t.TotalTuples, MaxResident: t.MaxResident}
-		for _, s := range t.Steps {
-			tr.Steps = append(tr.Steps, Step{Label: s.Expr.String(), Size: s.Size})
-		}
-		return res, tr
+		return xra.EvalVectorized(g, p.xraExpr, p.d, p.opts.BatchSize)
 	}
 	return p.runMixed(g)
 }
@@ -290,25 +248,7 @@ func (p *Plan) runMixed(g *exec.Governor) (*rel.Relation, *Trace) {
 	cur, root := b.batches(p.root)
 	out := rel.NewRelation(p.root.arity)
 	ra.DrainBatches(m.GuardBatches(cur), out)
-	tr := &Trace{}
-	root.record(tr)
-	tr.MaxResident = m.Max()
-	return out, tr
-}
-
-// planCountNode mirrors one plan node occurrence, collecting its
-// emission count.
-type planCountNode struct {
-	n    *Node
-	size int
-	kids []*planCountNode
-}
-
-func (c *planCountNode) record(tr *Trace) {
-	for _, k := range c.kids {
-		k.record(tr)
-	}
-	tr.record(c.n.String(), c.size)
+	return out, root.Trace(m)
 }
 
 // mayEmitDuplicates mirrors xra's duplicate analysis over IR nodes:
@@ -332,21 +272,6 @@ func mayEmitDuplicates(n *Node) bool {
 	return true
 }
 
-// planCountBatchCursor counts rows flowing out of an operator into the
-// plan's planCountNode.
-type planCountBatchCursor struct {
-	in   ra.BatchCursor
-	node *planCountNode
-}
-
-func (c *planCountBatchCursor) NextBatch() (*rel.Batch, bool) {
-	b, ok := c.in.NextBatch()
-	if ok {
-		c.node.size += b.Len()
-	}
-	return b, ok
-}
-
 type mixedBuilder struct {
 	d        rel.ReadStore
 	meter    *ra.Meter
@@ -357,8 +282,8 @@ func (b *mixedBuilder) baseRel(n *Node) rel.StoredRel {
 	return rel.CheckView(b.d, n.Name, n.arity, "plan")
 }
 
-func (b *mixedBuilder) batches(n *Node) (ra.BatchCursor, *planCountNode) {
-	node := &planCountNode{n: n}
+func (b *mixedBuilder) batches(n *Node) (ra.BatchCursor, *ra.CountNode) {
+	node := &ra.CountNode{Expr: n}
 	var cur ra.BatchCursor
 	switch n.Kind {
 	case KRel:
@@ -366,68 +291,68 @@ func (b *mixedBuilder) batches(n *Node) (ra.BatchCursor, *planCountNode) {
 	case KUnion:
 		l, ln := b.batches(n.Kids[0])
 		r, rn := b.batches(n.Kids[1])
-		node.kids = []*planCountNode{ln, rn}
+		node.Kids = []*ra.CountNode{ln, rn}
 		cur = ra.NewUnionSinkBatchCursor(l, r, n.arity, b.meter, b.capacity)
 	case KDiff:
 		l, ln := b.batches(n.Kids[0])
-		node.kids = []*planCountNode{ln}
+		node.Kids = []*ra.CountNode{ln}
 		if sub := n.Kids[1]; sub.Kind == KRel {
 			cur = ra.NewDiffBatchCursor(l, nil, b.baseRel(sub), n.arity, b.meter)
-			node.kids = append(node.kids, &planCountNode{n: sub})
+			node.Kids = append(node.Kids, &ra.CountNode{Expr: sub})
 		} else {
 			rc, rn := b.batches(sub)
 			cur = ra.NewDiffBatchCursor(l, rc, nil, n.arity, b.meter)
-			node.kids = append(node.kids, rn)
+			node.Kids = append(node.Kids, rn)
 		}
 	case KProject:
 		in, kn := b.batches(n.Kids[0])
-		node.kids = []*planCountNode{kn}
+		node.Kids = []*ra.CountNode{kn}
 		cur = ra.NewProjectBatchCursor(in, n.Cols)
 	case KSelect:
 		in, kn := b.batches(n.Kids[0])
-		node.kids = []*planCountNode{kn}
+		node.Kids = []*ra.CountNode{kn}
 		cur = ra.NewSelectBatchCursor(in, n.I, n.Op, n.J)
 	case KSelectConst:
 		in, kn := b.batches(n.Kids[0])
-		node.kids = []*planCountNode{kn}
+		node.Kids = []*ra.CountNode{kn}
 		cur = ra.NewSelectConstBatchCursor(in, n.I, n.C)
 	case KConstTag:
 		in, kn := b.batches(n.Kids[0])
-		node.kids = []*planCountNode{kn}
+		node.Kids = []*ra.CountNode{kn}
 		cur = ra.NewConstTagBatchCursor(in, n.C)
 	case KJoin:
 		l, ln := b.batches(n.Kids[0])
-		node.kids = []*planCountNode{ln}
+		node.Kids = []*ra.CountNode{ln}
 		if len(n.Cond.EqPairs()) > 0 {
 			rc, rn := b.batches(n.Kids[1])
-			node.kids = append(node.kids, rn)
+			node.Kids = append(node.Kids, rn)
 			cur = ra.NewHashJoinBatchCursor(l, rc, n.Cond, b.meter, b.capacity)
 		} else if sub := n.Kids[1]; sub.Kind == KRel {
-			node.kids = append(node.kids, &planCountNode{n: sub})
+			node.Kids = append(node.Kids, &ra.CountNode{Expr: sub})
 			cur = ra.NewLoopJoinBatchCursor(l, nil, b.baseRel(sub), n.Cond, b.meter, b.capacity)
 		} else {
 			rc, rn := b.batches(sub)
-			node.kids = append(node.kids, rn)
+			node.Kids = append(node.Kids, rn)
 			cur = ra.NewLoopJoinBatchCursor(l, rc, nil, n.Cond, b.meter, b.capacity)
 		}
 	case KSemijoin, KAntijoin:
 		keep := n.Kind == KSemijoin
 		l, ln := b.batches(n.Kids[0])
-		node.kids = []*planCountNode{ln}
+		node.Kids = []*ra.CountNode{ln}
 		if sub := n.Kids[1]; len(n.Cond.EqPairs()) == 0 && sub.Kind == KRel {
-			node.kids = append(node.kids, &planCountNode{n: sub})
+			node.Kids = append(node.Kids, &ra.CountNode{Expr: sub})
 			cur = sa.NewSemijoinBatchCursor(l, nil, b.baseRel(sub), n.Cond, keep, b.meter, b.capacity)
 		} else {
 			rc, rn := b.batches(sub)
-			node.kids = append(node.kids, rn)
+			node.Kids = append(node.Kids, rn)
 			cur = sa.NewSemijoinBatchCursor(l, rc, nil, n.Cond, keep, b.meter, b.capacity)
 		}
 	case KGamma:
 		in, kn := b.batches(n.Kids[0])
-		node.kids = []*planCountNode{kn}
+		node.Kids = []*ra.CountNode{kn}
 		cur = xra.NewGammaBatchCursor(in, n.Cols, n.CountCol, n.Kids[0].arity, mayEmitDuplicates(n.Kids[0]), b.meter, b.capacity)
 	default:
 		panic(fmt.Sprintf("plan: unknown kind %d", n.Kind))
 	}
-	return &planCountBatchCursor{in: cur, node: node}, node
+	return node.Count(cur), node
 }

@@ -68,7 +68,7 @@ func TestDivisionRuleDeclinesEmptyS(t *testing.T) {
 		}
 	}
 	got := p.Execute()
-	want := ra.EvalVectorized(e, d)
+	want, _ := ra.EvalVectorized(nil, e, d, 0)
 	if got.String() != want.String() {
 		t.Fatalf("empty-S division: got\n%s\nwant\n%s", got, want)
 	}

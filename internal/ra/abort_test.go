@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"radiv/internal/exec"
 	"radiv/internal/faultinject"
 	"radiv/internal/ra"
 	"radiv/internal/rel"
@@ -26,7 +27,8 @@ func checkVectorizedAborted(t *testing.T, name string, e ra.Expr, d rel.ReadStor
 	for _, size := range vecBatchSizes {
 		st := faultinject.Wrap(d, faultinject.Fault{FailAfter: 3, Err: errVecAbort})
 		liveBefore, _, _ := rel.BatchPoolStats()
-		res, _, err := ra.EvalVectorizedContext(context.Background(), e, st, ra.StreamOptions{BatchSize: size})
+		var res *rel.Relation
+		err := exec.Do(context.Background(), exec.Limits{}, func(g *exec.Governor) { res, _ = ra.EvalVectorized(g, e, st, size) })
 		if liveAfter, _, _ := rel.BatchPoolStats(); liveAfter != liveBefore {
 			t.Fatalf("%s size=%d: aborted run leaked %d batches", name, size, liveAfter-liveBefore)
 		}

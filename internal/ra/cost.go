@@ -1,13 +1,12 @@
 package ra
 
 // This file implements the cost model behind the pipelined projection
-// dedup filter. PR 3 measured the trade (BenchmarkStreamedDedupFilter):
-// a projection feeding a join's probe side replays the join's
-// candidate scan once per duplicate probe tuple, so the filter wins
-// whenever the estimated duplicate fan-in times the per-probe bucket
-// size outweighs its resident cost of one tuple per distinct projected
-// tuple. The ROADMAP item this closes asked for exactly that rule as
-// the default choice, with the explicit flag kept as an override.
+// dedup filter, the executor's only dedup policy. A projection feeding
+// a join's probe side replays the join's candidate scan once per
+// duplicate probe tuple, so the filter wins whenever the estimated
+// duplicate fan-in times the per-probe bucket size outweighs its
+// resident cost of one tuple per distinct projected tuple
+// (BenchmarkStreamedDedupFilter measures the filtered plan).
 //
 // The estimate arithmetic lives in internal/plan/cost so the planner's
 // rewrite rules price plans with the same primitives; this file keeps
@@ -16,23 +15,6 @@ package ra
 import (
 	"radiv/internal/plan/cost"
 	"radiv/internal/rel"
-)
-
-// DedupMode selects the projection dedup filter policy of the
-// streaming executor.
-type DedupMode int
-
-const (
-	// DedupAuto (the default) applies the cost model per projection:
-	// the filter is inserted when the projection feeds a join's probe
-	// input and its estimated duplicate fan-in × per-probe bucket size
-	// exceeds the resident cost of one tuple per distinct projected
-	// tuple.
-	DedupAuto DedupMode = iota
-	// DedupOff never inserts the filter (PR 3's default behavior).
-	DedupOff
-	// DedupOn inserts the filter after every projection.
-	DedupOn
 )
 
 // estimateSize walks the expression bottom-up. Base relations read
@@ -73,15 +55,8 @@ func joinBucket(d rel.ReadStore, n *Join) float64 {
 
 // dedupProjection decides the filter for one projection node. bucket
 // is the estimated per-probe candidate scan of the consuming join (0
-// when the projection does not feed a probe input). The explicit
-// settings override; DedupAuto applies the measured rule.
-func dedupProjection(d rel.ReadStore, opts StreamOptions, n *Project, bucket float64) bool {
-	if opts.Dedup == DedupOn {
-		return true
-	}
-	if opts.Dedup == DedupOff {
-		return false
-	}
+// when the projection does not feed a probe input).
+func dedupProjection(d rel.ReadStore, n *Project, bucket float64) bool {
 	if bucket <= 1 {
 		return false // nothing to save: each duplicate probe is O(1)
 	}

@@ -24,82 +24,51 @@ func dedupDatabase(dups int) *rel.Database {
 	return d
 }
 
-// residentOf runs the plan under the given options and reports the
-// resident peak — the observable that tells whether the dedup filter
-// was inserted (the filter's hash set is operator state).
-func residentOf(t *testing.T, e ra.Expr, d *rel.Database, opts ra.StreamOptions) (*rel.Relation, int) {
+// checkDedupRun runs the plan on the streaming executor and pins its
+// result against the materialized reference and its resident peak —
+// the observable that tells whether the dedup filter was inserted
+// (the filter's hash set is operator state) — against the value a
+// forced policy produced on the same plan.
+func checkDedupRun(t *testing.T, name string, e ra.Expr, d *rel.Database, rows, resident int) {
 	t.Helper()
-	res, tr := ra.EvalVectorizedGoverned(nil, e, d, opts)
-	return res, tr.MaxResident
+	res, tr := ra.EvalVectorized(nil, e, d, 0)
+	if want := ra.Eval(e, d); !res.Equal(want) {
+		t.Errorf("%s: streamed result differs from ra.Eval", name)
+	}
+	if res.Len() != rows {
+		t.Errorf("%s: %d rows, want %d", name, res.Len(), rows)
+	}
+	if tr.MaxResident != resident {
+		t.Errorf("%s: resident %d, want %d", name, tr.MaxResident, resident)
+	}
 }
 
 // TestDedupAutoPicksFilterOnDuplicateHeavyProbe pins the cost-based
-// default on the measured regime: duplicate fan-in 40 × bucket ≈ 20
-// dwarfs one resident tuple per distinct key, so DedupAuto must behave
-// like the forced filter — and produce the same result as every other
-// mode.
+// policy on the measured regime: duplicate fan-in 40 × bucket ≈ 20
+// dwarfs one resident tuple per distinct key, so the executor must
+// insert the filter. With the filter forced on this plan held 1050
+// tuples at peak (the 1000-tuple join build plus 50 distinct keys);
+// forced off it held 1000.
 func TestDedupAutoPicksFilterOnDuplicateHeavyProbe(t *testing.T) {
-	d := dedupDatabase(40)
 	e := ra.NewJoin(ra.NewProject([]int{1}, ra.R("R", 2)), ra.Eq(1, 1), ra.R("S", 2))
-	resOff, off := residentOf(t, e, d, ra.StreamOptions{Dedup: ra.DedupOff})
-	resOn, on := residentOf(t, e, d, ra.StreamOptions{Dedup: ra.DedupOn})
-	resAuto, auto := residentOf(t, e, d, ra.StreamOptions{})
-	if !resOff.Equal(resOn) || !resOff.Equal(resAuto) {
-		t.Fatalf("dedup modes disagree on the result")
-	}
-	if on <= off {
-		t.Fatalf("forced filter resident %d not above deferred %d: workload does not discriminate", on, off)
-	}
-	if auto != on {
-		t.Errorf("auto resident %d, want the filter's %d (cost model should pick the filter)", auto, on)
-	}
+	checkDedupRun(t, "probe", e, dedupDatabase(40), 1000, 1050)
 }
 
 // TestDedupAutoSkipsFilterWhenUseless pins the regimes where the cost
-// model can prove the filter buys nothing and auto must stay off: a
+// model can prove the filter buys nothing and must stay off: a
 // projection keeping all columns (provably duplicate-free), and a
-// projection that feeds a sink rather than a join probe.
+// projection that feeds a sink rather than a join probe. The expected
+// peaks are the filter-off values; the filter would have held 3000
+// and 50 tuples respectively.
 func TestDedupAutoSkipsFilterWhenUseless(t *testing.T) {
 	d := dedupDatabase(40)
 	// A permutation projection is duplicate-free by construction: the
 	// estimator sees every column kept and reports zero fan-in.
 	probe := ra.NewJoin(ra.NewProject([]int{2, 1}, ra.R("R", 2)), ra.Eq(2, 1), ra.R("S", 2))
-	_, off := residentOf(t, probe, d, ra.StreamOptions{Dedup: ra.DedupOff})
-	_, auto := residentOf(t, probe, d, ra.StreamOptions{})
-	if auto != off {
-		t.Errorf("permutation probe: auto resident %d, want deferred %d", auto, off)
-	}
-
-	dups := dedupDatabase(40)
+	checkDedupRun(t, "permutation probe", probe, d, 40000, 1000)
 	// The projection's consumer is the result sink, not a join probe:
 	// duplicates cost one Add each either way, so the filter would only
 	// add resident state.
 	sink := ra.NewProject([]int{1}, ra.R("R", 2))
-	_, off = residentOf(t, sink, dups, ra.StreamOptions{Dedup: ra.DedupOff})
-	_, auto = residentOf(t, sink, dups, ra.StreamOptions{})
-	if auto != off {
-		t.Errorf("sink-feeding projection: auto resident %d, want deferred %d", auto, off)
-	}
-}
-
-// TestDedupExplicitOverrides pins that both explicit settings beat the
-// cost model: DedupOff on the duplicate-heavy plan keeps the filter
-// out even though the model would insert it, and DedupOn inserts it
-// even where the model would not.
-func TestDedupExplicitOverrides(t *testing.T) {
-	dups := dedupDatabase(40)
-	probe := ra.NewJoin(ra.NewProject([]int{1}, ra.R("R", 2)), ra.Eq(1, 1), ra.R("S", 2))
-	_, off := residentOf(t, probe, dups, ra.StreamOptions{Dedup: ra.DedupOff})
-	_, auto := residentOf(t, probe, dups, ra.StreamOptions{})
-	if off >= auto {
-		t.Errorf("DedupOff resident %d not below auto %d: override ignored", off, auto)
-	}
-
-	clean := dedupDatabase(1)
-	sink := ra.NewProject([]int{1}, ra.R("R", 2))
-	_, deferred := residentOf(t, sink, clean, ra.StreamOptions{Dedup: ra.DedupOff})
-	_, forcedOn := residentOf(t, sink, clean, ra.StreamOptions{Dedup: ra.DedupOn})
-	if forcedOn <= deferred {
-		t.Errorf("forced filter resident %d not above deferred %d", forcedOn, deferred)
-	}
+	checkDedupRun(t, "sink-feeding projection", sink, d, 50, 0)
 }

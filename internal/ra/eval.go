@@ -12,14 +12,16 @@ import (
 // Trace records, for one evaluation, the output cardinality of every
 // subexpression. It is the observable that Definition 16's c(E)
 // function measures: an expression is linear when every subexpression
-// stays O(n) and quadratic when some subexpression reaches Ω(n²).
+// stays O(n) and quadratic when some subexpression reaches Ω(n²). It
+// is the one trace type of every evaluator — the materialized and
+// streaming evaluators of ra, sa and xra, and the planner's executor.
 type Trace struct {
 	// Steps lists each evaluated node with its output size, in
 	// post-order (children before parents).
 	Steps []TraceStep
 	// MaxIntermediate is the maximum output cardinality over all
 	// subexpressions, including the root. In a streamed trace
-	// (EvalVectorizedTraced) it is the maximum *emission* count instead:
+	// (EvalVectorized) it is the maximum *emission* count instead:
 	// dedup-deferred projections count duplicates, and stored
 	// relations consumed in place count zero, so streamed and
 	// materialized values are not like-for-like cardinalities.
@@ -28,22 +30,26 @@ type Trace struct {
 	// the total work an iterator-based executor would materialize.
 	TotalTuples int
 	// MaxResident is the peak number of tuples simultaneously held in
-	// operator state — hash-join build tables, union/difference sinks —
-	// across the whole plan. Only the streaming evaluator
-	// (EvalVectorizedTraced) fills it; the materialized evaluator leaves
-	// it zero, since it holds every intermediate in full. The final
-	// result relation is not counted: every evaluator must hold its
-	// output, so MaxResident measures auxiliary state only.
+	// operator state — hash-join build tables, semijoin key sets,
+	// γ accumulators, union/difference sinks — across the whole plan.
+	// Only the streaming evaluators fill it; the materialized
+	// evaluators leave it zero, since they hold every intermediate in
+	// full. The final result relation is not counted: every evaluator
+	// must hold its output, so MaxResident measures auxiliary state
+	// only.
 	MaxResident int
 }
 
-// TraceStep is one subexpression's evaluation record.
+// TraceStep is one subexpression's evaluation record. Expr is the
+// node of whichever algebra (or plan IR) ran it; its label is only
+// formatted when the trace is printed.
 type TraceStep struct {
-	Expr Expr
+	Expr fmt.Stringer
 	Size int
 }
 
-func (tr *Trace) record(e Expr, size int) {
+// Record appends one step and folds its size into the totals.
+func (tr *Trace) Record(e fmt.Stringer, size int) {
 	tr.Steps = append(tr.Steps, TraceStep{e, size})
 	if size > tr.MaxIntermediate {
 		tr.MaxIntermediate = size
@@ -89,7 +95,7 @@ func EvalTraced(e Expr, d rel.ReadStore) (*rel.Relation, *Trace) {
 	v := newEvaluator(d)
 	if n, bare := e.(*Rel); bare {
 		r, aliased := v.base(n)
-		tr.record(e, r.Len())
+		tr.Record(e, r.Len())
 		if aliased {
 			// The store handed out its own relation: clone, so the
 			// caller owns the result. Snapshots are already fresh.
@@ -207,7 +213,7 @@ func (v *evaluator) eval(e Expr, tr *Trace) *rel.Relation {
 	default:
 		panic(fmt.Sprintf("ra: unknown expression %T", e))
 	}
-	tr.record(e, out.Len())
+	tr.Record(e, out.Len())
 	return out
 }
 

@@ -29,7 +29,10 @@ func TestEvalResultOwnership(t *testing.T) {
 			res, _ := ra.EvalTraced(e, d)
 			return res
 		}},
-		{"EvalVectorized", ra.EvalVectorized},
+		{"EvalVectorized", func(e ra.Expr, d rel.ReadStore) *rel.Relation {
+			res, _ := ra.EvalVectorized(nil, e, d, 0)
+			return res
+		}},
 	}
 	for _, ev := range evaluators {
 		d := build()
@@ -90,7 +93,7 @@ func TestEvalJoinManyEqualities(t *testing.T) {
 		if got := ra.Eval(e, d); !got.Equal(want) {
 			t.Errorf("Eval join[%s]: got\n%swant\n%s", c, got, want)
 		}
-		if got := ra.EvalVectorized(e, d); !got.Equal(want) {
+		if got, _ := ra.EvalVectorized(nil, e, d, 0); !got.Equal(want) {
 			t.Errorf("EvalVectorized join[%s]: got\n%swant\n%s", c, got, want)
 		}
 	}
@@ -112,7 +115,7 @@ func TestEvalJoinManyEqualitiesStrings(t *testing.T) {
 	if got := ra.Eval(e, d); !got.Equal(want) {
 		t.Errorf("Eval join[%s] on strings: got\n%swant\n%s", c, got, want)
 	}
-	if got := ra.EvalVectorized(e, d); !got.Equal(want) {
+	if got, _ := ra.EvalVectorized(nil, e, d, 0); !got.Equal(want) {
 		t.Errorf("EvalVectorized join[%s] on strings: got\n%swant\n%s", c, got, want)
 	}
 }

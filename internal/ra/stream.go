@@ -22,93 +22,48 @@ package ra
 // quadratic — the paper proves it must — but the resident footprint
 // drops to linear, because the quadratic product is never stored.
 //
-// The building blocks — Meter, OpenBatchStream, the batch operator
-// constructors — are exported so the sibling algebras (internal/sa,
-// internal/xra) and the planner run their own plans on the same
-// substrate and share one resident meter across a mixed plan.
+// The building blocks — Meter, CountNode, OpenBatchStream, the batch
+// operator constructors — are exported so the sibling algebras
+// (internal/sa, internal/xra) and the planner run their own plans on
+// the same substrate, share one resident meter across a mixed plan,
+// and report through the one Trace type.
 
 import (
-	"context"
 	"fmt"
 
 	"radiv/internal/exec"
 	"radiv/internal/rel"
 )
 
-// StreamOptions tunes the streaming executor.
-type StreamOptions struct {
-	// Dedup selects the projection dedup filter policy. The zero
-	// value, DedupAuto, is the cost-based default: per projection, the
-	// filter is inserted exactly when the estimated duplicate fan-in ×
-	// consuming-join bucket size exceeds the resident cost (see
-	// cost.go). DedupOff never inserts it; DedupOn forces it after
-	// every projection.
-	Dedup DedupMode
-	// BatchSize overrides the row capacity of the executor's batches;
-	// 0 means rel.BatchCap.
-	BatchSize int
-	// Limits bounds the query's resource use (resident tuples, pooled
-	// batches). Enforced only by the governed entry points.
-	Limits exec.Limits
-}
-
 // EvalVectorized evaluates the expression with the streaming executor
-// and returns the result relation, always a fresh relation owned by
-// the caller. Like every evaluator entry point, it accepts any
-// rel.ReadStore backend; base relations are scanned in insertion
-// order, so the result sequence is identical across backends holding
-// the same data.
-func EvalVectorized(e Expr, d rel.ReadStore) *rel.Relation {
-	res, _ := EvalVectorizedTraced(e, d)
-	return res
-}
-
-// EvalVectorizedTraced evaluates the expression with the streaming
-// executor and also returns the trace. Step sizes count the tuples
-// emitted by each operator — for dedup-deferred projections this can
-// exceed the node's set cardinality, and for stored relations consumed
-// in place (the subtrahend of a difference, the replayed side of a
-// cartesian join) it is zero, because no tuples flow through the
-// operator graph for them. MaxResident is filled in (see Trace). The
-// expression is validated first, as in EvalTraced.
-func EvalVectorizedTraced(e Expr, d rel.ReadStore) (*rel.Relation, *Trace) {
-	return EvalVectorizedGoverned(nil, e, d, StreamOptions{})
-}
-
-// EvalVectorizedContext is the governed entry point: it honors ctx
-// cancellation and deadlines at every batch boundary, enforces
-// opts.Limits, converts internal panics into typed errors, and
-// guarantees that on error every pooled batch the evaluation acquired
-// has been released. On error the relation and trace are nil.
-func EvalVectorizedContext(ctx context.Context, e Expr, d rel.ReadStore, opts StreamOptions) (*rel.Relation, *Trace, error) {
-	if verr := Validate(e); verr != nil {
-		return nil, nil, fmt.Errorf("ra: invalid expression: %w", verr)
-	}
-	res, tr, err := func() (res *rel.Relation, tr *Trace, err error) {
-		g := exec.NewGovernor(ctx, opts.Limits)
-		defer g.Recover(&err)
-		res, tr = EvalVectorizedGoverned(g, e, d, opts)
-		return res, tr, nil
-	}()
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, tr, nil
-}
-
-// EvalVectorizedGoverned runs the streaming executor under a
-// caller-supplied governor — the hook the plan layer uses to share one
-// governor across engines. The caller owns the boundary: it must
-// recover with Governor.Recover. A nil governor runs ungoverned: no
-// guards, no overhead, panics propagate.
-func EvalVectorizedGoverned(g *exec.Governor, e Expr, d rel.ReadStore, opts StreamOptions) (*rel.Relation, *Trace) {
+// and returns the result relation — always a fresh relation owned by
+// the caller — and the trace. Like every evaluator entry point, it
+// accepts any rel.ReadStore backend; base relations are scanned in
+// insertion order, so the result sequence is identical across
+// backends holding the same data.
+//
+// Step sizes count the tuples emitted by each operator — for
+// dedup-deferred projections this can exceed the node's set
+// cardinality, and for stored relations consumed in place (the
+// subtrahend of a difference, the replayed side of a cartesian join)
+// it is zero, because no tuples flow through the operator graph for
+// them. MaxResident is filled in (see Trace). The expression is
+// validated first, as in EvalTraced.
+//
+// g governs the run: cancellation and its Limits are enforced at
+// every batch boundary, and pooled batches held across calls are
+// registered for release on abort. The caller owns the boundary — run
+// the call inside exec.Do, or defer Governor.Recover. A nil governor
+// runs ungoverned: no guards, no overhead, panics propagate. batchSize
+// is the batch row capacity; 0 means rel.BatchCap.
+func EvalVectorized(g *exec.Governor, e Expr, d rel.ReadStore, batchSize int) (*rel.Relation, *Trace) {
 	if err := Validate(e); err != nil {
 		panic("ra: invalid expression: " + err.Error())
 	}
 	meter := &Meter{gov: g}
-	b := &vecBuilder{d: d, meter: meter, opts: opts}
+	b := newVecBuilder(d, meter, batchSize)
 	out := rel.NewRelationSized(e.Arity(), sinkHint(d, e))
-	var root *countNode
+	var root *CountNode
 	if u, ok := e.(*Union); ok {
 		// A root union's sink would be the result itself: drain both
 		// inputs straight into the output relation instead, so the
@@ -116,19 +71,16 @@ func EvalVectorizedGoverned(g *exec.Governor, e Expr, d rel.ReadStore, opts Stre
 		// not counted as resident.
 		lc, ln := b.batches(u.L)
 		rc, rn := b.batches(u.E)
-		root = &countNode{e: e, kids: []*countNode{ln, rn}}
+		root = &CountNode{Expr: e, Kids: []*CountNode{ln, rn}}
 		DrainBatches(meter.GuardBatches(lc), out)
 		DrainBatches(meter.GuardBatches(rc), out)
-		root.n = out.Len()
+		root.N = out.Len()
 	} else {
 		var cur BatchCursor
 		cur, root = b.batches(e)
 		DrainBatches(meter.GuardBatches(cur), out)
 	}
-	tr := &Trace{}
-	root.record(tr)
-	tr.MaxResident = meter.Max()
-	return out, tr
+	return out, root.Trace(meter)
 }
 
 // Meter tracks the number of tuples currently held in operator state
@@ -198,26 +150,51 @@ func (c *guardBatchCursor) NextBatch() (*rel.Batch, bool) {
 	return c.in.NextBatch()
 }
 
-// countNode mirrors one occurrence of an expression node in the plan.
-// A subexpression shared between two places in the tree gets two
-// countNodes, exactly as the materialized evaluator evaluates (and
-// records) it twice.
-type countNode struct {
-	e    Expr
-	n    int
-	kids []*countNode
+// CountNode mirrors one occurrence of a node in a streaming plan and
+// collects its emission count. A subexpression shared between two
+// places in the tree gets two nodes, exactly as the materialized
+// evaluators evaluate (and record) it twice. Every streaming executor
+// — ra's, sa's, xra's and the planner's — builds its trace from this
+// tree.
+type CountNode struct {
+	Expr fmt.Stringer
+	N    int
+	Kids []*CountNode
 }
 
-// each visits the subtree in post-order.
-func (c *countNode) each(f func(Expr, int)) {
-	for _, k := range c.kids {
-		k.each(f)
+// Count wraps an operator's cursor so the rows it emits are counted
+// into c.
+func (c *CountNode) Count(in BatchCursor) BatchCursor {
+	return &countBatchCursor{in: in, node: c}
+}
+
+// Trace records the subtree's steps in post-order (children before
+// parents), matching the materialized evaluators' step order, with
+// the meter's resident peak. Call it once the plan is drained.
+func (c *CountNode) Trace(m *Meter) *Trace {
+	tr := &Trace{MaxResident: m.Max()}
+	c.record(tr)
+	return tr
+}
+
+func (c *CountNode) record(tr *Trace) {
+	for _, k := range c.Kids {
+		k.record(tr)
 	}
-	f(c.e, c.n)
+	tr.Record(c.Expr, c.N)
 }
 
-// record appends the subtree's steps to the trace in post-order,
-// matching the materialized evaluator's step order.
-func (c *countNode) record(tr *Trace) {
-	c.each(func(e Expr, n int) { tr.record(e, n) })
+// countBatchCursor counts rows flowing out of an operator into the
+// plan's CountNode.
+type countBatchCursor struct {
+	in   BatchCursor
+	node *CountNode
+}
+
+func (c *countBatchCursor) NextBatch() (*rel.Batch, bool) {
+	b, ok := c.in.NextBatch()
+	if ok {
+		c.node.N += b.Len()
+	}
+	return b, ok
 }

@@ -30,7 +30,7 @@ func setJoinDatabase(seed int64) *rel.Database {
 func checkStreamedAgainstMaterialized(t *testing.T, name string, e ra.Expr, d *rel.Database) (*ra.Trace, *ra.Trace) {
 	t.Helper()
 	mat, mt := ra.EvalTraced(e, d)
-	str, st := ra.EvalVectorizedTraced(e, d)
+	str, st := ra.EvalVectorized(nil, e, d, 0)
 	if !mat.Equal(str) {
 		t.Fatalf("%s: streamed result differs from materialized\nmaterialized:\n%s\nstreamed:\n%s", name, mat, str)
 	}
@@ -130,7 +130,7 @@ func TestStreamedTraceShape(t *testing.T) {
 	d := workload.RandomDivision(3).Database()
 	e := ra.DivisionExpr("R", "S")
 	_, mt := ra.EvalTraced(e, d)
-	_, st := ra.EvalVectorizedTraced(e, d)
+	_, st := ra.EvalVectorized(nil, e, d, 0)
 	if len(mt.Steps) != len(st.Steps) {
 		t.Fatalf("step counts differ: materialized %d, streamed %d", len(mt.Steps), len(st.Steps))
 	}
@@ -167,7 +167,7 @@ func TestStreamedResidentGrowsSlower(t *testing.T) {
 	var resident, flow []ra.SizePoint
 	for _, n := range []int{64, 128, 256, 512} {
 		d := gen(n)
-		_, tr := ra.EvalVectorizedTraced(e, d)
+		_, tr := ra.EvalVectorized(nil, e, d, 0)
 		resident = append(resident, ra.SizePoint{DatabaseSize: d.Size(), MaxIntermediate: tr.MaxResident})
 		flow = append(flow, ra.SizePoint{DatabaseSize: d.Size(), MaxIntermediate: tr.MaxIntermediate})
 	}
@@ -190,7 +190,7 @@ func TestStreamedResidentGrowsSlower(t *testing.T) {
 // counts.
 func TestStreamedUnionRootResident(t *testing.T) {
 	d := setJoinDatabase(1)
-	res, tr := ra.EvalVectorizedTraced(ra.NewUnion(ra.R("R", 2), ra.R("S", 2)), d)
+	res, tr := ra.EvalVectorized(nil, ra.NewUnion(ra.R("R", 2), ra.R("S", 2)), d, 0)
 	if tr.MaxResident != 0 {
 		t.Errorf("union-rooted plan reports MaxResident %d, want 0 (result is not operator state)", tr.MaxResident)
 	}
@@ -199,7 +199,7 @@ func TestStreamedUnionRootResident(t *testing.T) {
 	}
 	// The same union as an interior node is a genuine blocking sink.
 	inner := ra.NewProject([]int{1}, ra.NewUnion(ra.R("R", 2), ra.R("S", 2)))
-	_, tr = ra.EvalVectorizedTraced(inner, d)
+	_, tr = ra.EvalVectorized(nil, inner, d, 0)
 	if tr.MaxResident == 0 {
 		t.Errorf("interior union sink reported no resident state")
 	}

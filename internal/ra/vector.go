@@ -71,23 +71,24 @@ func sinkHint(d rel.ReadStore, e Expr) int {
 type vecBuilder struct {
 	d           rel.ReadStore
 	meter       *Meter
-	opts        StreamOptions
+	capacity    int
 	probeBucket float64
 }
 
-// batchCap resolves the executor's batch row capacity.
-func (b *vecBuilder) batchCap() int {
-	if b.opts.BatchSize > 0 {
-		return b.opts.BatchSize
+// newVecBuilder resolves the batch row capacity (batchSize <= 0 means
+// rel.BatchCap).
+func newVecBuilder(d rel.ReadStore, m *Meter, batchSize int) *vecBuilder {
+	if batchSize <= 0 {
+		batchSize = rel.BatchCap
 	}
-	return rel.BatchCap
+	return &vecBuilder{d: d, meter: m, capacity: batchSize}
 }
 
 // scan opens the columnar scan of a stored relation at the builder's
 // batch capacity, guarded when the plan is governed (one governor
 // check per batch boundary at every leaf).
 func (b *vecBuilder) scan(v rel.StoredRel) BatchCursor {
-	return b.meter.GuardBatches(ScanBatches(v, b.batchCap()))
+	return b.meter.GuardBatches(ScanBatches(v, b.capacity))
 }
 
 // ScanBatches opens the columnar scan of a stored relation: straight
@@ -113,8 +114,8 @@ func (b *vecBuilder) baseRel(n *Rel) rel.StoredRel {
 	return rel.CheckView(b.d, n.Name, n.arity, "ra")
 }
 
-func (b *vecBuilder) batches(e Expr) (BatchCursor, *countNode) {
-	node := &countNode{e: e}
+func (b *vecBuilder) batches(e Expr) (BatchCursor, *CountNode) {
+	node := &CountNode{Expr: e}
 	var cur BatchCursor
 	dedup := false
 	bucket := b.probeBucket
@@ -125,65 +126,65 @@ func (b *vecBuilder) batches(e Expr) (BatchCursor, *countNode) {
 	case *Union:
 		l, ln := b.batches(n.L)
 		r, rn := b.batches(n.E)
-		node.kids = []*countNode{ln, rn}
-		cur = &vecUnionCursor{l: l, r: r, arity: n.Arity(), meter: b.meter, capacity: b.batchCap()}
+		node.Kids = []*CountNode{ln, rn}
+		cur = &vecUnionCursor{l: l, r: r, arity: n.Arity(), meter: b.meter, capacity: b.capacity}
 	case *Diff:
 		l, ln := b.batches(n.L)
-		node.kids = []*countNode{ln}
+		node.Kids = []*CountNode{ln}
 		dc := &vecDiffCursor{in: l, arity: n.Arity(), meter: b.meter}
 		if base, ok := n.E.(*Rel); ok {
 			// The subtrahend is a stored relation: probe it in place
 			// through a translation cache, holding nothing.
 			dc.stored = b.baseRel(base)
-			node.kids = append(node.kids, &countNode{e: n.E})
+			node.Kids = append(node.Kids, &CountNode{Expr: n.E})
 		} else {
 			rc, rn := b.batches(n.E)
 			dc.buildC = rc
-			node.kids = append(node.kids, rn)
+			node.Kids = append(node.Kids, rn)
 		}
 		cur = dc
 	case *Project:
-		dedup = dedupProjection(b.d, b.opts, n, bucket)
+		dedup = dedupProjection(b.d, n, bucket)
 		in, kn := b.batches(n.E)
-		node.kids = []*countNode{kn}
+		node.Kids = []*CountNode{kn}
 		cur = &vecProjectCursor{in: in, cols: n.Cols}
 	case *Select:
 		in, kn := b.batches(n.E)
-		node.kids = []*countNode{kn}
+		node.Kids = []*CountNode{kn}
 		cur = &vecSelectCursor{in: in, i: n.I - 1, op: n.Op, j: n.J - 1}
 	case *SelectConst:
 		in, kn := b.batches(n.E)
-		node.kids = []*countNode{kn}
+		node.Kids = []*CountNode{kn}
 		cur = &vecSelectConstCursor{in: in, i: n.I - 1, c: n.C}
 	case *ConstTag:
 		in, kn := b.batches(n.E)
-		node.kids = []*countNode{kn}
+		node.Kids = []*CountNode{kn}
 		cur = newVecTagCursor(in, n.C)
 	case *Join:
 		b.probeBucket = joinBucket(b.d, n)
 		l, ln := b.batches(n.L)
-		node.kids = []*countNode{ln}
+		node.Kids = []*CountNode{ln}
 		if eqs := n.Cond.EqPairs(); len(eqs) > 0 {
 			rc, rn := b.batches(n.E)
-			node.kids = append(node.kids, rn)
-			cur = newVecHashJoinCursor(l, rc, n.Cond, eqs, b.meter, b.batchCap())
+			node.Kids = append(node.Kids, rn)
+			cur = newVecHashJoinCursor(l, rc, n.Cond, eqs, b.meter, b.capacity)
 		} else {
-			lj := &vecLoopJoinCursor{left: l, cond: n.Cond, meter: b.meter, capacity: b.batchCap()}
+			lj := &vecLoopJoinCursor{left: l, cond: n.Cond, meter: b.meter, capacity: b.capacity}
 			b.meter.Watch(lj)
 			if base, ok := n.E.(*Rel); ok {
 				lj.stored = b.baseRel(base)
-				node.kids = append(node.kids, &countNode{e: n.E})
+				node.Kids = append(node.Kids, &CountNode{Expr: n.E})
 			} else {
 				rc, rn := b.batches(n.E)
 				lj.buildC = rc
-				node.kids = append(node.kids, rn)
+				node.Kids = append(node.Kids, rn)
 			}
 			cur = lj
 		}
 	default:
 		panic(fmt.Sprintf("ra: unknown expression %T", e))
 	}
-	counted := &countBatchCursor{in: cur, node: node}
+	counted := node.Count(cur)
 	if dedup {
 		// The filter sits outside the count, so the node's flow number
 		// still reports what the operator emitted (duplicates included)
@@ -191,21 +192,6 @@ func (b *vecBuilder) batches(e Expr) (BatchCursor, *countNode) {
 		return &vecDedupCursor{in: counted, arity: e.Arity(), meter: b.meter}, node
 	}
 	return counted, node
-}
-
-// countBatchCursor counts rows flowing out of an operator into the
-// plan's countNode.
-type countBatchCursor struct {
-	in   BatchCursor
-	node *countNode
-}
-
-func (c *countBatchCursor) NextBatch() (*rel.Batch, bool) {
-	b, ok := c.in.NextBatch()
-	if ok {
-		c.node.n += b.Len()
-	}
-	return b, ok
 }
 
 // FilterBatch compacts src to the rows where keep is true, calling
@@ -1247,32 +1233,16 @@ func NewLoopJoinBatchCursor(left, build BatchCursor, stored rel.StoredRel, cond 
 	return c
 }
 
-// BatchStream is a compiled streaming plan handle through which the extended algebra pipelines wrapped
-// pure-RA subexpressions batch-natively. The caller pulls batches with
-// NextBatch (owning each yielded batch) and, once done, folds the
-// plan's flow counts into its own trace with EachStep.
-type BatchStream struct {
-	cur  BatchCursor
-	root *countNode
-}
-
-// OpenBatchStream validates e and compiles it into a vectorized plan
-// over d, charging operator state to m. opts.BatchSize sets the batch
-// capacity (0 = rel.BatchCap); opts.Dedup selects the projection
-// filter policy exactly as in EvalVectorizedGoverned.
-func OpenBatchStream(e Expr, d rel.ReadStore, m *Meter, opts StreamOptions) *BatchStream {
+// OpenBatchStream validates e and compiles it into a streaming plan
+// over d, charging operator state to m — the hook through which the
+// extended algebra pipelines wrapped pure-RA subexpressions
+// batch-natively, sharing the enclosing plan's meter. batchSize is
+// the batch row capacity (0 means rel.BatchCap). The caller pulls the
+// cursor to exhaustion (owning each yielded batch) and then folds the
+// returned node's flow counts into its own trace.
+func OpenBatchStream(e Expr, d rel.ReadStore, m *Meter, batchSize int) (BatchCursor, *CountNode) {
 	if err := Validate(e); err != nil {
 		panic("ra: invalid expression: " + err.Error())
 	}
-	b := &vecBuilder{d: d, meter: m, opts: opts}
-	cur, root := b.batches(e)
-	return &BatchStream{cur: cur, root: root}
+	return newVecBuilder(d, m, batchSize).batches(e)
 }
-
-// NextBatch implements BatchCursor.
-func (s *BatchStream) NextBatch() (*rel.Batch, bool) { return s.cur.NextBatch() }
-
-// EachStep visits the plan's flow counts in post-order (children
-// before parents), matching the materialized evaluator's step order. Call it
-// only after the stream is exhausted.
-func (s *BatchStream) EachStep(f func(e Expr, n int)) { s.root.each(f) }

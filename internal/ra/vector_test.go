@@ -28,12 +28,12 @@ func checkVectorized(t *testing.T, name string, e ra.Expr, d rel.ReadStore) {
 	mat := ra.Eval(e, d)
 	for _, size := range vecBatchSizes {
 		liveBefore, _, _ := rel.BatchPoolStats()
-		got, gt := ra.EvalVectorizedGoverned(nil, e, d, ra.StreamOptions{BatchSize: size})
+		got, gt := ra.EvalVectorized(nil, e, d, size)
 		liveAfter, _, _ := rel.BatchPoolStats()
 		if liveAfter != liveBefore {
 			t.Fatalf("%s size=%d: batch leak: %d batches live before, %d after", name, size, liveBefore, liveAfter)
 		}
-		if line := contractTrace(got, gt); line != want {
+		if line := tuplecontract.Trace(got, gt); line != want {
 			t.Errorf("%s size=%d: contract mismatch\n got: %s\nwant: %s", name, size, line, want)
 		}
 		if !got.Equal(mat) {
@@ -138,7 +138,7 @@ func TestVectorizedOnShardedStores(t *testing.T) {
 				key := fmt.Sprintf("sharded %s seed %d shards=%d", c.name, seed, shards)
 				want := tuplecontract.Entry(t, "ra/"+key)
 				for _, size := range vecBatchSizes {
-					res, _ := ra.EvalVectorizedGoverned(nil, c.e, sdb, ra.StreamOptions{BatchSize: size})
+					res, _ := ra.EvalVectorized(nil, c.e, sdb, size)
 					if got := tuplecontract.Result(res); got != want {
 						t.Errorf("%s size=%d: emission %s, want %s", key, size, got, want)
 					}
@@ -164,7 +164,7 @@ func TestVectorizedConstSelectGrowingDictionary(t *testing.T) {
 	want := []rel.Tuple{rel.Ints(2, 2), rel.Ints(2, 3)}
 	for _, size := range []int{1, 2, 1024} {
 		w := rel.Batched(d, size)
-		res, _ := ra.EvalVectorizedGoverned(nil, e, w, ra.StreamOptions{BatchSize: size})
+		res, _ := ra.EvalVectorized(nil, e, w, size)
 		got := res.Tuples()
 		if len(got) != len(want) {
 			t.Fatalf("size=%d: %d tuples, want %d (stale absent-constant cache?)", size, len(got), len(want))
@@ -183,7 +183,7 @@ func TestVectorizedConstSelectGrowingDictionary(t *testing.T) {
 func TestVectorizedResultOwnership(t *testing.T) {
 	d := rel.NewDatabase(rel.NewSchema(map[string]int{"R": 2}))
 	d.AddInts("R", 1, 2)
-	res := ra.EvalVectorized(ra.R("R", 2), d)
+	res, _ := ra.EvalVectorized(nil, ra.R("R", 2), d, 0)
 	res.Add(rel.Ints(9, 9))
 	if d.Rel("R").Contains(rel.Ints(9, 9)) {
 		t.Fatal("mutating a vectorized result mutated the database")
@@ -201,8 +201,8 @@ func TestVectorizedPoolSeparateFromResident(t *testing.T) {
 	d := workload.RandomDivision(4).Database()
 	e := ra.DivisionExpr("R", "S")
 	rel.ResetBatchPoolPeak()
-	res, gt := ra.EvalVectorizedTraced(e, d)
-	if got, want := contractTrace(res, gt), tuplecontract.Entry(t, "ra/division seed 4"); got != want {
+	res, gt := ra.EvalVectorized(nil, e, d, 0)
+	if got, want := tuplecontract.Trace(res, gt), tuplecontract.Entry(t, "ra/division seed 4"); got != want {
 		t.Fatalf("contract mismatch\n got: %s\nwant: %s", got, want)
 	}
 	_, peak, _ := rel.BatchPoolStats()

@@ -24,7 +24,8 @@ func checkVectorizedAborted(t *testing.T, name string, e Expr, d rel.ReadStore) 
 	for _, size := range vecBatchSizes {
 		st := faultinject.Wrap(d, faultinject.Fault{FailAfter: 3, Err: errVecAbort})
 		liveBefore, _, _ := rel.BatchPoolStats()
-		res, _, err := EvalVectorizedContext(context.Background(), e, st, size, exec.Limits{})
+		var res *rel.Relation
+		err := exec.Do(context.Background(), exec.Limits{}, func(g *exec.Governor) { res, _ = EvalVectorized(g, e, st, size) })
 		if liveAfter, _, _ := rel.BatchPoolStats(); liveAfter != liveBefore {
 			t.Fatalf("%s size=%d: aborted run leaked %d batches", name, size, liveAfter-liveBefore)
 		}

@@ -54,7 +54,7 @@ func checkBatchedStore(t *testing.T, key string, e Expr, d rel.Store) {
 	t.Helper()
 	want := tuplecontract.Entry(t, "sa/"+key)
 	for _, size := range vecBatchSizes {
-		res, _ := EvalVectorizedTracedSized(e, rel.Batched(d, size), size)
+		res, _ := EvalVectorized(nil, e, rel.Batched(d, size), size)
 		if got := tuplecontract.Result(res); got != want {
 			t.Errorf("%s size=%d: emission %s, want %s", key, size, got, want)
 		}

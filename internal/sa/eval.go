@@ -7,38 +7,6 @@ import (
 	"radiv/internal/rel"
 )
 
-// Trace mirrors ra.Trace for semijoin algebra evaluation. Because
-// every SA operator's output is bounded by the size of one of its
-// inputs, MaxIntermediate never exceeds the database size plus the
-// constant-tagging overhead — the syntactic linearity the paper
-// exploits.
-type Trace struct {
-	Steps           []TraceStep
-	MaxIntermediate int
-	TotalTuples     int
-	// MaxResident is the peak number of tuples simultaneously held in
-	// operator state — semijoin build indexes, union/difference sinks —
-	// across the whole plan. Only the streaming evaluator
-	// (EvalVectorizedTraced) fills it; the materialized evaluator leaves
-	// it zero, since it holds every intermediate in full. The final
-	// result relation is not counted, exactly as in ra.Trace.
-	MaxResident int
-}
-
-// TraceStep is one subexpression's evaluation record.
-type TraceStep struct {
-	Expr Expr
-	Size int
-}
-
-func (tr *Trace) record(e Expr, size int) {
-	tr.Steps = append(tr.Steps, TraceStep{e, size})
-	if size > tr.MaxIntermediate {
-		tr.MaxIntermediate = size
-	}
-	tr.TotalTuples += size
-}
-
 // Eval evaluates the expression on a store (any rel.ReadStore backend).
 func Eval(e Expr, d rel.ReadStore) *rel.Relation {
 	res, _ := EvalTraced(e, d)
@@ -46,7 +14,10 @@ func Eval(e Expr, d rel.ReadStore) *rel.Relation {
 }
 
 // EvalTraced evaluates the expression and returns the intermediate-size
-// trace. The expression is validated first (Validate), so malformed
+// trace. Because every SA operator's output is bounded by the size of
+// one of its inputs, the trace's MaxIntermediate never exceeds the
+// database size plus the constant-tagging overhead — the syntactic
+// linearity the paper exploits. The expression is validated first (Validate), so malformed
 // trees — possible through direct struct construction, which bypasses
 // the checking constructors — fail with a clear "sa:"-prefixed panic
 // instead of a raw index-out-of-range mid-eval.
@@ -57,15 +28,15 @@ func Eval(e Expr, d rel.ReadStore) *rel.Relation {
 // writes through to the store. Every operator node already returns a
 // fresh relation; interior relation-name results are aliased read-only
 // views that never escape.
-func EvalTraced(e Expr, d rel.ReadStore) (*rel.Relation, *Trace) {
+func EvalTraced(e Expr, d rel.ReadStore) (*rel.Relation, *ra.Trace) {
 	if err := Validate(e); err != nil {
 		panic("sa: invalid expression: " + err.Error())
 	}
-	tr := &Trace{}
+	tr := &ra.Trace{}
 	v := newEvaluator(d)
 	if n, bare := e.(*Rel); bare {
 		r, aliased := v.base(n)
-		tr.record(e, r.Len())
+		tr.Record(e, r.Len())
 		if aliased {
 			// The store handed out its own relation: clone, so the
 			// caller owns the result. Snapshots are already fresh.
@@ -93,7 +64,7 @@ func (v *evaluator) base(n *Rel) (*rel.Relation, bool) {
 	return v.rels.Resolve(n.Name, n.arity)
 }
 
-func (v *evaluator) eval(e Expr, tr *Trace) *rel.Relation {
+func (v *evaluator) eval(e Expr, tr *ra.Trace) *rel.Relation {
 	var out *rel.Relation
 	switch n := e.(type) {
 	case *Rel:
@@ -135,7 +106,7 @@ func (v *evaluator) eval(e Expr, tr *Trace) *rel.Relation {
 	default:
 		panic(fmt.Sprintf("sa: unknown expression %T", e))
 	}
-	tr.record(e, out.Len())
+	tr.Record(e, out.Len())
 	return out
 }
 

@@ -30,7 +30,10 @@ func TestEvalResultOwnership(t *testing.T) {
 			res, _ := EvalTraced(e, d)
 			return res
 		}},
-		{"EvalVectorized", EvalVectorized},
+		{"EvalVectorized", func(e Expr, d rel.ReadStore) *rel.Relation {
+			res, _ := EvalVectorized(nil, e, d, 0)
+			return res
+		}},
 	}
 	for _, ev := range evaluators {
 		d := build()
@@ -96,7 +99,7 @@ func TestEvalPanicsWithPrefixOnInvalid(t *testing.T) {
 		run  func()
 	}{
 		{"Eval", func() { Eval(bad, d) }},
-		{"EvalVectorized", func() { EvalVectorized(bad, d) }},
+		{"EvalVectorized", func() { EvalVectorized(nil, bad, d, 0) }},
 	} {
 		func() {
 			defer func() {

@@ -34,7 +34,7 @@ func setJoinDatabase(seed int64) *rel.Database {
 func checkStreamed(t *testing.T, name string, e Expr, d *rel.Database, strict bool) {
 	t.Helper()
 	mat, mt := EvalTraced(e, d)
-	str, st := EvalVectorizedTraced(e, d)
+	str, st := EvalVectorized(nil, e, d, 0)
 	matT, strT := mat.Tuples(), str.Tuples()
 	if len(matT) != len(strT) {
 		t.Fatalf("%s: streamed result has %d tuples, materialized %d", name, len(strT), len(matT))
@@ -174,7 +174,7 @@ func TestStreamedResidentLinear(t *testing.T) {
 	var resident []ra.SizePoint
 	for _, n := range []int{64, 128, 256, 512} {
 		d := gen(n)
-		_, tr := EvalVectorizedTraced(e, d)
+		_, tr := EvalVectorized(nil, e, d, 0)
 		resident = append(resident, ra.SizePoint{DatabaseSize: d.Size(), MaxIntermediate: tr.MaxResident})
 	}
 	if p := ra.GrowthExponent(resident); p > 1.3 {

@@ -33,7 +33,6 @@ package sa
 // memory-side counterpart of the syntactic linearity of Definition 2.
 
 import (
-	"context"
 	"fmt"
 
 	"radiv/internal/exec"
@@ -42,75 +41,26 @@ import (
 )
 
 // EvalVectorized evaluates the expression with the streaming executor
-// and returns the result relation, always a fresh relation owned by
-// the caller.
-func EvalVectorized(e Expr, d rel.ReadStore) *rel.Relation {
-	res, _ := EvalVectorizedTraced(e, d)
-	return res
-}
-
-// EvalVectorizedTraced is EvalVectorized with the trace. Step sizes
-// count the tuples emitted by each operator — dedup-deferred
-// projections can exceed the node's set cardinality, and stored
-// relations consumed in place (the subtrahend of a difference, the
-// replayed side of a θ-semijoin) count zero. MaxResident is filled in
-// (see Trace). The expression is validated first, as in EvalTraced.
-func EvalVectorizedTraced(e Expr, d rel.ReadStore) (*rel.Relation, *Trace) {
-	return EvalVectorizedTracedSized(e, d, 0)
-}
-
-// EvalVectorizedTracedSized is EvalVectorizedTraced at an explicit
-// batch row capacity (0 means rel.BatchCap).
-func EvalVectorizedTracedSized(e Expr, d rel.ReadStore, batchSize int) (*rel.Relation, *Trace) {
+// and returns the result relation — always a fresh relation owned by
+// the caller — and the trace. Step sizes count the tuples emitted by
+// each operator — dedup-deferred projections can exceed the node's
+// set cardinality, and stored relations consumed in place (the
+// subtrahend of a difference, the replayed side of a θ-semijoin)
+// count zero. The expression is validated first, as in EvalTraced.
+// The governor and batch size work as in ra.EvalVectorized: a nil
+// governor runs ungoverned, a governed caller owns the boundary
+// (exec.Do), and batchSize 0 means rel.BatchCap.
+func EvalVectorized(g *exec.Governor, e Expr, d rel.ReadStore, batchSize int) (*rel.Relation, *ra.Trace) {
 	if err := Validate(e); err != nil {
 		panic("sa: invalid expression: " + err.Error())
 	}
-	return evalVectorizedMetered(&ra.Meter{}, e, d, batchSize)
-}
-
-// EvalVectorizedContext is the governed entry point, at an explicit
-// batch row capacity (0 means rel.BatchCap): ctx cancellation and lim
-// budgets are enforced at every batch boundary, internal panics become
-// typed errors, and on error every pooled batch the evaluation
-// acquired has been released.
-func EvalVectorizedContext(ctx context.Context, e Expr, d rel.ReadStore, batchSize int, lim exec.Limits) (*rel.Relation, *Trace, error) {
-	if verr := Validate(e); verr != nil {
-		return nil, nil, fmt.Errorf("sa: invalid expression: %w", verr)
+	if batchSize <= 0 {
+		batchSize = rel.BatchCap
 	}
-	res, tr, err := func() (res *rel.Relation, tr *Trace, err error) {
-		g := exec.NewGovernor(ctx, lim)
-		defer g.Recover(&err)
-		res, tr = evalVectorizedMetered(ra.NewGovernedMeter(g), e, d, batchSize)
-		return res, tr, nil
-	}()
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, tr, nil
-}
-
-// EvalVectorizedGoverned runs the streaming executor under a caller-
-// supplied governor (the plan layer's shared-governor hook). The
-// caller owns the boundary: it must recover with Governor.Recover. A
-// nil governor runs ungoverned.
-func EvalVectorizedGoverned(g *exec.Governor, e Expr, d rel.ReadStore, batchSize int) (*rel.Relation, *Trace) {
-	if err := Validate(e); err != nil {
-		panic("sa: invalid expression: " + err.Error())
-	}
-	return evalVectorizedMetered(ra.NewGovernedMeter(g), e, d, batchSize)
-}
-
-// evalVectorizedMetered is the executor core shared by every entry
-// point; a governed meter threads guards through every leaf scan and
-// the root drain.
-func evalVectorizedMetered(meter *ra.Meter, e Expr, d rel.ReadStore, batchSize int) (*rel.Relation, *Trace) {
-	capacity := batchSize
-	if capacity <= 0 {
-		capacity = rel.BatchCap
-	}
-	b := &vecBuilder{d: d, meter: meter, capacity: capacity}
+	meter := ra.NewGovernedMeter(g)
+	b := &vecBuilder{d: d, meter: meter, capacity: batchSize}
 	out := rel.NewRelation(e.Arity())
-	var root *saCountNode
+	var root *ra.CountNode
 	if u, ok := e.(*Union); ok {
 		// A root union's sink would be the result itself: drain both
 		// inputs straight into the output relation, so the result is
@@ -118,51 +68,16 @@ func evalVectorizedMetered(meter *ra.Meter, e Expr, d rel.ReadStore, batchSize i
 		// as resident.
 		lc, ln := b.batches(u.L)
 		rc, rn := b.batches(u.E)
-		root = &saCountNode{e: e, kids: []*saCountNode{ln, rn}}
+		root = &ra.CountNode{Expr: e, Kids: []*ra.CountNode{ln, rn}}
 		ra.DrainBatches(meter.GuardBatches(lc), out)
 		ra.DrainBatches(meter.GuardBatches(rc), out)
-		root.n = out.Len()
+		root.N = out.Len()
 	} else {
 		var cur ra.BatchCursor
 		cur, root = b.batches(e)
 		ra.DrainBatches(meter.GuardBatches(cur), out)
 	}
-	tr := &Trace{}
-	root.record(tr)
-	tr.MaxResident = meter.Max()
-	return out, tr
-}
-
-// saCountNode mirrors one occurrence of an expression node in the
-// plan, collecting its emission count for the trace.
-type saCountNode struct {
-	e    Expr
-	n    int
-	kids []*saCountNode
-}
-
-// record appends the subtree's steps in post-order, matching the
-// materialized evaluator's step order.
-func (c *saCountNode) record(tr *Trace) {
-	for _, k := range c.kids {
-		k.record(tr)
-	}
-	tr.record(c.e, c.n)
-}
-
-// saCountBatchCursor counts rows flowing out of an operator into the
-// plan's saCountNode.
-type saCountBatchCursor struct {
-	in   ra.BatchCursor
-	node *saCountNode
-}
-
-func (c *saCountBatchCursor) NextBatch() (*rel.Batch, bool) {
-	b, ok := c.in.NextBatch()
-	if ok {
-		c.node.n += b.Len()
-	}
-	return b, ok
+	return out, root.Trace(meter)
 }
 
 // vecBuilder translates an SA expression tree into a batch-cursor
@@ -177,8 +92,8 @@ func (b *vecBuilder) baseRel(n *Rel) rel.StoredRel {
 	return rel.CheckView(b.d, n.Name, n.arity, "sa")
 }
 
-func (b *vecBuilder) batches(e Expr) (ra.BatchCursor, *saCountNode) {
-	node := &saCountNode{e: e}
+func (b *vecBuilder) batches(e Expr) (ra.BatchCursor, *ra.CountNode) {
+	node := &ra.CountNode{Expr: e}
 	var cur ra.BatchCursor
 	switch n := e.(type) {
 	case *Rel:
@@ -186,45 +101,45 @@ func (b *vecBuilder) batches(e Expr) (ra.BatchCursor, *saCountNode) {
 	case *Union:
 		l, ln := b.batches(n.L)
 		r, rn := b.batches(n.E)
-		node.kids = []*saCountNode{ln, rn}
+		node.Kids = []*ra.CountNode{ln, rn}
 		cur = ra.NewUnionSinkBatchCursor(l, r, n.Arity(), b.meter, b.capacity)
 	case *Diff:
 		l, ln := b.batches(n.L)
-		node.kids = []*saCountNode{ln}
+		node.Kids = []*ra.CountNode{ln}
 		if base, ok := n.E.(*Rel); ok {
 			// The subtrahend is a stored relation: probe it in place,
 			// holding nothing.
 			cur = ra.NewDiffBatchCursor(l, nil, b.baseRel(base), n.Arity(), b.meter)
-			node.kids = append(node.kids, &saCountNode{e: n.E})
+			node.Kids = append(node.Kids, &ra.CountNode{Expr: n.E})
 		} else {
 			rc, rn := b.batches(n.E)
 			cur = ra.NewDiffBatchCursor(l, rc, nil, n.Arity(), b.meter)
-			node.kids = append(node.kids, rn)
+			node.Kids = append(node.Kids, rn)
 		}
 	case *Project:
 		in, kn := b.batches(n.E)
-		node.kids = []*saCountNode{kn}
+		node.Kids = []*ra.CountNode{kn}
 		cur = ra.NewProjectBatchCursor(in, n.Cols)
 	case *Select:
 		in, kn := b.batches(n.E)
-		node.kids = []*saCountNode{kn}
+		node.Kids = []*ra.CountNode{kn}
 		cur = ra.NewSelectBatchCursor(in, n.I, n.Op, n.J)
 	case *SelectConst:
 		in, kn := b.batches(n.E)
-		node.kids = []*saCountNode{kn}
+		node.Kids = []*ra.CountNode{kn}
 		cur = ra.NewSelectConstBatchCursor(in, n.I, n.C)
 	case *ConstTag:
 		in, kn := b.batches(n.E)
-		node.kids = []*saCountNode{kn}
+		node.Kids = []*ra.CountNode{kn}
 		cur = ra.NewConstTagBatchCursor(in, n.C)
 	case *Semijoin:
-		cur, node.kids = b.semijoin(n.L, n.Cond, n.E, true)
+		cur, node.Kids = b.semijoin(n.L, n.Cond, n.E, true)
 	case *Antijoin:
-		cur, node.kids = b.semijoin(n.L, n.Cond, n.E, false)
+		cur, node.Kids = b.semijoin(n.L, n.Cond, n.E, false)
 	default:
 		panic(fmt.Sprintf("sa: unknown expression %T", e))
 	}
-	return &saCountBatchCursor{in: cur, node: node}, node
+	return node.Count(cur), node
 }
 
 // semijoin builds the batch plan for l ⋉θ r (keep) or l ▷θ r (!keep).
@@ -233,9 +148,9 @@ func (b *vecBuilder) batches(e Expr) (ra.BatchCursor, *saCountNode) {
 // pure-equality conditions); without them the right side is replayed
 // per probe row — in place when it is a stored relation, else from a
 // materialized copy.
-func (b *vecBuilder) semijoin(l Expr, cond ra.Cond, r Expr, keep bool) (ra.BatchCursor, []*saCountNode) {
+func (b *vecBuilder) semijoin(l Expr, cond ra.Cond, r Expr, keep bool) (ra.BatchCursor, []*ra.CountNode) {
 	lc, ln := b.batches(l)
-	kids := []*saCountNode{ln}
+	kids := []*ra.CountNode{ln}
 	if len(cond.EqPairs()) > 0 {
 		rc, rn := b.batches(r)
 		kids = append(kids, rn)
@@ -243,7 +158,7 @@ func (b *vecBuilder) semijoin(l Expr, cond ra.Cond, r Expr, keep bool) (ra.Batch
 	}
 	if base, ok := r.(*Rel); ok {
 		// Replay the stored relation in place per probe row.
-		kids = append(kids, &saCountNode{e: r})
+		kids = append(kids, &ra.CountNode{Expr: r})
 		return NewSemijoinBatchCursor(lc, nil, b.baseRel(base), cond, keep, b.meter, b.capacity), kids
 	}
 	rc, rn := b.batches(r)

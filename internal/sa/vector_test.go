@@ -28,12 +28,12 @@ func checkVectorized(t *testing.T, name string, e Expr, d rel.ReadStore) {
 	mat := Eval(e, d)
 	for _, size := range vecBatchSizes {
 		liveBefore, _, _ := rel.BatchPoolStats()
-		got, gt := EvalVectorizedTracedSized(e, d, size)
+		got, gt := EvalVectorized(nil, e, d, size)
 		liveAfter, _, _ := rel.BatchPoolStats()
 		if liveAfter != liveBefore {
 			t.Fatalf("%s size=%d: batch leak: %d batches live before, %d after", name, size, liveBefore, liveAfter)
 		}
-		if line := contractTrace(got, gt); line != want {
+		if line := tuplecontract.Trace(got, gt); line != want {
 			t.Errorf("%s size=%d: contract mismatch\n got: %s\nwant: %s", name, size, line, want)
 		}
 		if !got.Equal(mat) {
@@ -130,7 +130,7 @@ func TestVectorizedSAOnShardedStores(t *testing.T) {
 				key := fmt.Sprintf("sharded %s seed %d shards=%d", c.name, seed, shards)
 				want := tuplecontract.Entry(t, "sa/"+key)
 				for _, size := range vecBatchSizes {
-					res, _ := EvalVectorizedTracedSized(c.e, sdb, size)
+					res, _ := EvalVectorized(nil, c.e, sdb, size)
 					if got := tuplecontract.Result(res); got != want {
 						t.Errorf("%s size=%d: emission %s, want %s", key, size, got, want)
 					}

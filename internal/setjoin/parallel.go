@@ -73,7 +73,7 @@ func (p ParallelSignatureContainment) Join(r, s []*Group) (*rel.Relation, Stats)
 	chunks := chunkRanges(len(r), ex.PartitionCount())
 	pairs := make([][]pair, len(chunks))
 	per := make([]Stats, len(chunks))
-	ex.Run(len(chunks), func(c int) {
+	ex.Run(nil, len(chunks), func(c int) {
 		st := &per[c]
 		for _, gr := range r[chunks[c][0]:chunks[c][1]] {
 			for _, gs := range s {
@@ -171,17 +171,15 @@ func (s *chunkSender) closeFlush() {
 // would deduplicate it.
 //
 // The returned cursor supports early Close (it is an
-// *engine.OrderedMergeChunksStop merge): Close unblocks the workers
-// and drains the channels, so abandoning the stream leaks nothing.
-func (p ParallelSignatureContainment) JoinStream(r, s []*Group) engine.Cursor {
-	return p.JoinStreamGov(nil, r, s)
-}
-
-// JoinStreamGov is JoinStream under a query governor (nil means
-// ungoverned; the early-Close escape hatch works either way).
-// Governed, worker sends also select on the governor's Done channel
-// and a panicking worker aborts the query; callers check g.Err().
-func (p ParallelSignatureContainment) JoinStreamGov(g *exec.Governor, r, s []*Group) engine.Cursor {
+// engine.OrderedMergeChunks merge with a stop): Close unblocks the
+// workers and drains the channels, so abandoning the stream leaks
+// nothing.
+//
+// g governs the stream; nil means ungoverned, and the early-Close
+// escape hatch works either way. Governed, worker sends also select on
+// the governor's Done channel and a panicking worker aborts the query;
+// callers check g.Err().
+func (p ParallelSignatureContainment) JoinStream(g *exec.Governor, r, s []*Group) engine.Cursor {
 	ex := engine.Executor{Workers: p.Workers}
 	if ex.WorkerCount() <= 1 {
 		res, _ := SignatureContainment{}.Join(r, s)
@@ -196,7 +194,7 @@ func (p ParallelSignatureContainment) JoinStreamGov(g *exec.Governor, r, s []*Gr
 	done := g.Done()
 	go func() {
 		claimed := make([]atomic.Bool, len(chunks))
-		ex.RunGoverned(g, len(chunks), func(c int) {
+		ex.Run(g, len(chunks), func(c int) {
 			claimed[c].Store(true)
 			snd := chunkSender{ch: chans[c], stop: stop.C(), done: done}
 			defer snd.closeFlush()
@@ -212,7 +210,7 @@ func (p ParallelSignatureContainment) JoinStreamGov(g *exec.Governor, r, s []*Gr
 				}
 			}
 		})
-		// After an abort RunGoverned skips unclaimed chunks; close
+		// After an abort Run skips unclaimed chunks; close
 		// their channels so the merge cursor still terminates.
 		for c := range chans {
 			if !claimed[c].Load() {
@@ -220,7 +218,7 @@ func (p ParallelSignatureContainment) JoinStreamGov(g *exec.Governor, r, s []*Gr
 			}
 		}
 	}()
-	return engine.OrderedMergeChunksStop(chans, stop)
+	return engine.OrderedMergeChunks(stop, chans)
 }
 
 // ParallelHashEquality is the canonical-encoding hash equality join
@@ -259,7 +257,7 @@ func (p ParallelHashEquality) Join(r, s []*Group) (*rel.Relation, Stats) {
 	chunks := chunkRanges(len(s), ex.PartitionCount())
 	pairs := make([][]pair, len(chunks))
 	per := make([]Stats, len(chunks))
-	ex.Run(len(chunks), func(c int) {
+	ex.Run(nil, len(chunks), func(c int) {
 		st := &per[c]
 		for _, gs := range s[chunks[c][0]:chunks[c][1]] {
 			st.Probes++
@@ -295,17 +293,11 @@ func (p ParallelHashEquality) Join(r, s []*Group) (*rel.Relation, Stats) {
 // assumes the distinct group keys Groups establishes.
 // The returned cursor supports early Close, exactly as on the
 // containment side.
-func (p ParallelHashEquality) JoinStream(r, s []*Group) engine.Cursor {
-	return p.JoinStreamGov(nil, r, s)
-}
-
-// JoinStreamGov is JoinStream under a query governor (nil means
-// ungoverned; the early-Close escape hatch works either way).
-// Governed, worker sends also select on the governor's Done channel,
-// a panic in the build phase or a worker aborts the query, and every
-// channel is still closed so the merge cursor terminates; callers
-// check g.Err().
-func (p ParallelHashEquality) JoinStreamGov(g *exec.Governor, r, s []*Group) engine.Cursor {
+//
+// g governs the stream as on the containment side; in addition a
+// panic in the build phase aborts the query, and every channel is
+// still closed so the merge cursor terminates.
+func (p ParallelHashEquality) JoinStream(g *exec.Governor, r, s []*Group) engine.Cursor {
 	ex := engine.Executor{Workers: p.Workers}
 	if ex.WorkerCount() <= 1 {
 		res, _ := HashEquality{}.Join(r, s)
@@ -340,7 +332,7 @@ func (p ParallelHashEquality) JoinStreamGov(g *exec.Governor, r, s []*Group) eng
 		}
 		built = true
 		claimed := make([]atomic.Bool, len(chunks))
-		ex.RunGoverned(g, len(chunks), func(c int) {
+		ex.Run(g, len(chunks), func(c int) {
 			claimed[c].Store(true)
 			snd := chunkSender{ch: chans[c], stop: stop.C(), done: done}
 			defer snd.closeFlush()
@@ -356,7 +348,7 @@ func (p ParallelHashEquality) JoinStreamGov(g *exec.Governor, r, s []*Group) eng
 				}
 			}
 		})
-		// After an abort RunGoverned skips unclaimed chunks; close
+		// After an abort Run skips unclaimed chunks; close
 		// their channels so the merge cursor still terminates.
 		for c := range chans {
 			if !claimed[c].Load() {
@@ -364,5 +356,5 @@ func (p ParallelHashEquality) JoinStreamGov(g *exec.Governor, r, s []*Group) eng
 			}
 		}
 	}()
-	return engine.OrderedMergeChunksStop(chans, stop)
+	return engine.OrderedMergeChunks(stop, chans)
 }

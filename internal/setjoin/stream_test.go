@@ -28,9 +28,9 @@ func TestJoinStreamByteIdenticalToSequential(t *testing.T) {
 		wantC, _ := SignatureContainment{}.Join(gr, gs)
 		wantE, _ := HashEquality{}.Join(gr, gs)
 		for _, workers := range []int{1, 2, 4} {
-			gotC := drainPairs(ParallelSignatureContainment{Workers: workers}.JoinStream(gr, gs))
+			gotC := drainPairs(ParallelSignatureContainment{Workers: workers}.JoinStream(nil, gr, gs))
 			checkSameSequence(t, "containment", seed, workers, gotC, wantC)
-			gotE := drainPairs(ParallelHashEquality{Workers: workers}.JoinStream(gr, gs))
+			gotE := drainPairs(ParallelHashEquality{Workers: workers}.JoinStream(nil, gr, gs))
 			checkSameSequence(t, "equality", seed, workers, gotE, wantE)
 		}
 	}
@@ -57,10 +57,10 @@ func TestJoinStreamEmptySides(t *testing.T) {
 	gr := Groups(r)
 	var none []*Group
 	for _, workers := range []int{1, 3} {
-		if got := drainPairs(ParallelSignatureContainment{Workers: workers}.JoinStream(none, gr)); len(got) != 0 {
+		if got := drainPairs(ParallelSignatureContainment{Workers: workers}.JoinStream(nil, none, gr)); len(got) != 0 {
 			t.Errorf("workers=%d: empty R side produced %d pairs", workers, len(got))
 		}
-		if got := drainPairs(ParallelHashEquality{Workers: workers}.JoinStream(gr, none)); len(got) != 0 {
+		if got := drainPairs(ParallelHashEquality{Workers: workers}.JoinStream(nil, gr, none)); len(got) != 0 {
 			t.Errorf("workers=%d: empty S side produced %d pairs", workers, len(got))
 		}
 	}

@@ -131,7 +131,7 @@ func DivideGov(g *exec.Governor, db Source, rName, sName string, sem division.Se
 	}
 	qualified := make([]map[rel.Value]bool, n)
 	resident := make([]int, n)
-	engine.Executor{Workers: workers}.StreamShardedBatchesGov(g, cursors, func(q int, shard engine.BatchCursor) {
+	engine.Executor{Workers: workers}.StreamShardedBatches(g, cursors, func(q int, shard engine.BatchCursor) {
 		var st division.Stats
 		qualified[q], st = dt.DivideShardBatches(shard, sem)
 		resident[q] = st.MaxMemoryTuples
@@ -216,7 +216,7 @@ func shardedSetJoin(db Source, rName, sName string, workers int, containment boo
 	containPairs := make([]map[rel.Value][]rel.Tuple, n)
 	eqPairs := make([][][]setjoin.RankedPair, n)
 	resident := make([]int, n)
-	engine.Executor{Workers: workers}.Run(n, func(q int) {
+	engine.Executor{Workers: workers}.Run(nil, n, func(q int) {
 		// Shard-local R sides flow as columnar batches straight off the
 		// relations' stored ID columns into the group builder — no tuple
 		// decoding on the grouping pass, and each worker's translation

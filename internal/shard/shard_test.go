@@ -215,16 +215,22 @@ func TestShardedEvaluatorEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		for _, n := range shardCounts {
 			d, s := divisionStores(seed, n)
-			if err := sameTuples(ra.EvalVectorized(raExpr, d), ra.EvalVectorized(raExpr, s)); err != nil {
+			raD, _ := ra.EvalVectorized(nil, raExpr, d, 0)
+			raS, _ := ra.EvalVectorized(nil, raExpr, s, 0)
+			if err := sameTuples(raD, raS); err != nil {
 				t.Fatalf("ra streamed seed %d shards %d: %v", seed, n, err)
 			}
 			if err := sameTuples(ra.Eval(raExpr, d), ra.Eval(raExpr, s)); err != nil {
 				t.Fatalf("ra materialized seed %d shards %d: %v", seed, n, err)
 			}
-			if err := sameTuples(sa.EvalVectorized(saExpr, d), sa.EvalVectorized(saExpr, s)); err != nil {
+			saD, _ := sa.EvalVectorized(nil, saExpr, d, 0)
+			saS, _ := sa.EvalVectorized(nil, saExpr, s, 0)
+			if err := sameTuples(saD, saS); err != nil {
 				t.Fatalf("sa streamed seed %d shards %d: %v", seed, n, err)
 			}
-			if err := sameTuples(xra.EvalVectorized(xraExpr, d), xra.EvalVectorized(xraExpr, s)); err != nil {
+			xD, _ := xra.EvalVectorized(nil, xraExpr, d, 0)
+			xS, _ := xra.EvalVectorized(nil, xraExpr, s, 0)
+			if err := sameTuples(xD, xS); err != nil {
 				t.Fatalf("xra streamed seed %d shards %d: %v", seed, n, err)
 			}
 		}
@@ -271,7 +277,7 @@ func TestShardConcurrentReaders(t *testing.T) {
 					t.Errorf("concurrent reader saw wrong contents (n=%d)", n)
 					return
 				}
-				if got := ra.EvalVectorized(ra.R("S", 1), s); got.Len() != 1 {
+				if got, _ := ra.EvalVectorized(nil, ra.R("S", 1), s, 0); got.Len() != 1 {
 					t.Errorf("concurrent streamed eval saw %d tuples", got.Len())
 					return
 				}

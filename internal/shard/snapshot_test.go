@@ -88,7 +88,9 @@ func TestShardSnapshotExecEquivalence(t *testing.T) {
 			}
 			// Evaluators over the snapshot match the in-memory database.
 			raExpr := ra.DivisionExpr("R", "S")
-			if err := sameTuples(ra.EvalVectorized(raExpr, d), ra.EvalVectorized(raExpr, snap)); err != nil {
+			raD, _ := ra.EvalVectorized(nil, raExpr, d, 0)
+			raSnap, _ := ra.EvalVectorized(nil, raExpr, snap, 0)
+			if err := sameTuples(raD, raSnap); err != nil {
 				t.Fatalf("seed %d shards %d: ra streamed on snapshot: %v", seed, n, err)
 			}
 			if err := sameTuples(ra.Eval(raExpr, d), ra.Eval(raExpr, snap)); err != nil {

@@ -26,6 +26,7 @@ import (
 	"sync"
 	"testing"
 
+	"radiv/internal/ra"
 	"radiv/internal/rel"
 )
 
@@ -71,12 +72,12 @@ func Entry(t testing.TB, key string) string {
 	return want
 }
 
-// Main runs the tests and exits. A full, unfiltered run that passed
-// but left an entry under prefix unchecked fails, so a shrinking
-// corpus cannot silently stop reproducing the contract.
+// Main runs the tests and exits. A full run — no -run, -skip or -list
+// filter — that passed but left an entry under prefix unchecked fails,
+// so a shrinking corpus cannot silently stop reproducing the contract.
 func Main(m *testing.M, prefix string) {
 	code := m.Run()
-	if code == 0 && flag.Lookup("test.run").Value.String() == "" {
+	if code == 0 && unfiltered() {
 		entries, err := load()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tuple contract:", err)
@@ -92,6 +93,17 @@ func Main(m *testing.M, prefix string) {
 	os.Exit(code)
 }
 
+// unfiltered reports whether the test binary runs every test: a -run
+// or -skip pattern selects a subset, and -list runs none.
+func unfiltered() bool {
+	for _, name := range []string{"test.run", "test.skip", "test.list"} {
+		if f := flag.Lookup(name); f != nil && f.Value.String() != "" {
+			return false
+		}
+	}
+	return true
+}
+
 // Result renders a result as its size and an FNV-64a digest of its
 // tuples in emission order.
 func Result(res *rel.Relation) string {
@@ -105,13 +117,13 @@ func Result(res *rel.Relation) string {
 // Trace renders a result and its trace: the step labels (digested) and
 // flows in step order, then MaxIntermediate, TotalTuples and
 // MaxResident.
-func Trace(res *rel.Relation, labels []string, flows []int, maxIntermediate, total, resident int) string {
+func Trace(res *rel.Relation, tr *ra.Trace) string {
 	h := fnv.New64a()
-	fs := make([]string, len(flows))
-	for i, l := range labels {
-		h.Write([]byte(l + "\n"))
-		fs[i] = strconv.Itoa(flows[i])
+	fs := make([]string, len(tr.Steps))
+	for i, s := range tr.Steps {
+		h.Write([]byte(s.Expr.String() + "\n"))
+		fs[i] = strconv.Itoa(s.Size)
 	}
 	return fmt.Sprintf("%s steps=%016x flows=%s max=%d total=%d resident=%d",
-		Result(res), h.Sum64(), strings.Join(fs, ","), maxIntermediate, total, resident)
+		Result(res), h.Sum64(), strings.Join(fs, ","), tr.MaxIntermediate, tr.TotalTuples, tr.MaxResident)
 }

@@ -1,13 +1,11 @@
 package xra
 
-// This file holds the plan bookkeeping of the extended algebra's
-// streaming executor (vector.go): trace nodes that fold wrapped RA
-// subplans' flow counts into the enclosing trace, and the static
-// duplicate analysis γ's count(*) relies on. Projections pipeline
-// (deduplication deferred to the consuming sink), joins materialize
-// only their build side on interned-ID keys, wrapped pure-RA
-// subexpressions pipeline straight through ra.OpenBatchStream —
-// sharing one resident meter with the enclosing plan — and γ streams
+// This file holds the static duplicate analysis behind γ's count(*)
+// in the extended algebra's streaming executor (vector.go).
+// Projections pipeline (deduplication deferred to the consuming sink),
+// joins materialize only their build side on interned-ID keys, wrapped
+// pure-RA subexpressions pipeline straight through ra.OpenBatchStream
+// — sharing one resident meter with the enclosing plan — and γ streams
 // its input into an interned accumulator, holding one entry per group
 // and distinct counted value rather than the whole input.
 //
@@ -18,28 +16,6 @@ package xra
 // (experiment ST2).
 
 import "radiv/internal/ra"
-
-// xCountNode mirrors one occurrence of an expression node in the plan.
-// Wrap nodes carry the compiled RA subplan instead of a count: the
-// materialized evaluator records a wrapped step per inner RA node and
-// none for the Wrap itself, and the streamed trace matches that shape.
-type xCountNode struct {
-	e    Expr
-	n    int
-	kids []*xCountNode
-	sub  *ra.BatchStream // non-nil exactly for Wrap nodes
-}
-
-func (c *xCountNode) record(tr *Trace) {
-	for _, k := range c.kids {
-		k.record(tr)
-	}
-	if c.sub != nil {
-		c.sub.EachStep(func(e ra.Expr, n int) { tr.record(&Wrap{E: e}, n) })
-		return
-	}
-	tr.record(c.e, c.n)
-}
 
 // mayEmitDuplicates reports whether the streaming plan for e can
 // deliver the same tuple more than once. Only dedup-deferring

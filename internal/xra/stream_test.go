@@ -17,7 +17,7 @@ import (
 func checkStreamed(t *testing.T, name string, e Expr, d *rel.Database, strict bool) {
 	t.Helper()
 	mat, mt := EvalTraced(e, d)
-	str, st := EvalVectorizedTraced(e, d)
+	str, st := EvalVectorized(nil, e, d, 0)
 	matT, strT := mat.Tuples(), str.Tuples()
 	if len(matT) != len(strT) {
 		t.Fatalf("%s: streamed result has %d tuples, materialized %d", name, len(strT), len(matT))
@@ -145,7 +145,7 @@ func TestStreamedResidentLinear(t *testing.T) {
 	var resident []ra.SizePoint
 	for _, n := range []int{64, 128, 256, 512} {
 		d := gen(n)
-		_, tr := EvalVectorizedTraced(e, d)
+		_, tr := EvalVectorized(nil, e, d, 0)
 		resident = append(resident, ra.SizePoint{DatabaseSize: d.Size(), MaxIntermediate: tr.MaxResident})
 	}
 	if p := ra.GrowthExponent(resident); p > 1.3 {
@@ -166,7 +166,7 @@ func TestStreamedGammaCountOverWrappedDiff(t *testing.T) {
 	d.AddInts("S", 99)
 	e := NewGamma([]int{1}, 0, &Wrap{E: ra.NewDiff(ra.NewProject([]int{1}, ra.R("R", 2)), ra.R("S", 1))})
 	want := Eval(e, d)
-	got := EvalVectorized(e, d)
+	got, _ := EvalVectorized(nil, e, d, 0)
 	if !got.Equal(want) {
 		t.Fatalf("streamed γ over wrapped diff = %v, want %v", got, want)
 	}
@@ -196,7 +196,10 @@ func TestEvalResultOwnership(t *testing.T) {
 			res, _ := EvalTraced(e, d)
 			return res
 		}},
-		{"EvalVectorized", EvalVectorized},
+		{"EvalVectorized", func(e Expr, d rel.ReadStore) *rel.Relation {
+			res, _ := EvalVectorized(nil, e, d, 0)
+			return res
+		}},
 	}
 	intruder := rel.Ints(9, 9)
 	for _, ev := range evaluators {

@@ -21,7 +21,6 @@ package xra
 // empty grand aggregate.
 
 import (
-	"context"
 	"fmt"
 	"slices"
 
@@ -31,93 +30,26 @@ import (
 )
 
 // EvalVectorized evaluates the expression with the streaming executor
-// and returns the result relation, always a fresh relation owned by
-// the caller.
-func EvalVectorized(e Expr, d rel.ReadStore) *rel.Relation {
-	res, _ := EvalVectorizedTraced(e, d)
-	return res
-}
-
-// EvalVectorizedTraced is EvalVectorized with the trace. Step sizes
-// count the tuples emitted by each operator (wrapped RA steps report
-// the RA executor's flow counts); MaxResident is filled in (see
-// Trace). The expression is validated first, as in EvalTraced.
-func EvalVectorizedTraced(e Expr, d rel.ReadStore) (*rel.Relation, *Trace) {
-	return EvalVectorizedTracedSized(e, d, 0)
-}
-
-// EvalVectorizedTracedSized is EvalVectorizedTraced at an explicit
-// batch row capacity (0 means rel.BatchCap).
-func EvalVectorizedTracedSized(e Expr, d rel.ReadStore, batchSize int) (*rel.Relation, *Trace) {
+// and returns the result relation — always a fresh relation owned by
+// the caller — and the trace. Step sizes count the tuples emitted by
+// each operator; wrapped RA steps report the RA executor's flow
+// counts. The expression is validated first, as in EvalTraced. The
+// governor and batch size work as in ra.EvalVectorized — wrapped RA
+// subplans share the governed meter — with a nil governor running
+// ungoverned and batchSize 0 meaning rel.BatchCap.
+func EvalVectorized(g *exec.Governor, e Expr, d rel.ReadStore, batchSize int) (*rel.Relation, *ra.Trace) {
 	if err := Validate(e); err != nil {
 		panic("xra: invalid expression: " + err.Error())
 	}
-	return evalVectorizedMetered(&ra.Meter{}, e, d, batchSize)
-}
-
-// EvalVectorizedContext is the governed entry point, at an explicit
-// batch row capacity (0 means rel.BatchCap): ctx cancellation and lim
-// budgets are enforced at every batch boundary (wrapped RA subplans
-// included — they share the governed meter), internal panics become
-// typed errors, and on error every pooled batch the evaluation
-// acquired has been released.
-func EvalVectorizedContext(ctx context.Context, e Expr, d rel.ReadStore, batchSize int, lim exec.Limits) (*rel.Relation, *Trace, error) {
-	if verr := Validate(e); verr != nil {
-		return nil, nil, fmt.Errorf("xra: invalid expression: %w", verr)
+	if batchSize <= 0 {
+		batchSize = rel.BatchCap
 	}
-	res, tr, err := func() (res *rel.Relation, tr *Trace, err error) {
-		g := exec.NewGovernor(ctx, lim)
-		defer g.Recover(&err)
-		res, tr = evalVectorizedMetered(ra.NewGovernedMeter(g), e, d, batchSize)
-		return res, tr, nil
-	}()
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, tr, nil
-}
-
-// EvalVectorizedGoverned runs the streaming executor under a caller-
-// supplied governor (the plan layer's shared-governor hook). The
-// caller owns the boundary: it must recover with Governor.Recover. A
-// nil governor runs ungoverned.
-func EvalVectorizedGoverned(g *exec.Governor, e Expr, d rel.ReadStore, batchSize int) (*rel.Relation, *Trace) {
-	if err := Validate(e); err != nil {
-		panic("xra: invalid expression: " + err.Error())
-	}
-	return evalVectorizedMetered(ra.NewGovernedMeter(g), e, d, batchSize)
-}
-
-// evalVectorizedMetered is the executor core shared by every entry
-// point.
-func evalVectorizedMetered(meter *ra.Meter, e Expr, d rel.ReadStore, batchSize int) (*rel.Relation, *Trace) {
-	capacity := batchSize
-	if capacity <= 0 {
-		capacity = rel.BatchCap
-	}
-	b := &xVecBuilder{d: d, meter: meter, capacity: capacity}
+	meter := ra.NewGovernedMeter(g)
+	b := &xVecBuilder{d: d, meter: meter, capacity: batchSize}
 	cur, root := b.batches(e)
 	out := rel.NewRelation(e.Arity())
 	ra.DrainBatches(meter.GuardBatches(cur), out)
-	tr := &Trace{}
-	root.record(tr)
-	tr.MaxResident = meter.Max()
-	return out, tr
-}
-
-// xCountBatchCursor counts rows flowing out of an operator into the
-// plan's xCountNode.
-type xCountBatchCursor struct {
-	in   ra.BatchCursor
-	node *xCountNode
-}
-
-func (c *xCountBatchCursor) NextBatch() (*rel.Batch, bool) {
-	b, ok := c.in.NextBatch()
-	if ok {
-		c.node.n += b.Len()
-	}
-	return b, ok
+	return out, root.Trace(meter)
 }
 
 // xVecBuilder translates an extended-algebra expression tree into a
@@ -128,27 +60,27 @@ type xVecBuilder struct {
 	capacity int
 }
 
-func (b *xVecBuilder) batches(e Expr) (ra.BatchCursor, *xCountNode) {
-	node := &xCountNode{e: e}
+func (b *xVecBuilder) batches(e Expr) (ra.BatchCursor, *ra.CountNode) {
+	node := &ra.CountNode{Expr: e}
 	var cur ra.BatchCursor
 	switch n := e.(type) {
 	case *Wrap:
-		s := ra.OpenBatchStream(n.E, b.d, b.meter, ra.StreamOptions{BatchSize: b.capacity})
-		node.sub = s
-		// The Wrap itself is transparent: no count wrapper, the inner
-		// plan counts its own flows.
-		return s, node
+		// The Wrap itself is transparent: the inner plan counts its own
+		// flows, and its nodes stand in the trace where the Wrap is —
+		// the materialized evaluator records a step per inner RA node
+		// and none for the Wrap.
+		return ra.OpenBatchStream(n.E, b.d, b.meter, b.capacity)
 	case *Gamma:
 		in, kn := b.batches(n.E)
-		node.kids = []*xCountNode{kn}
+		node.Kids = []*ra.CountNode{kn}
 		cur = &vecGammaCursor{in: in, g: n, inputArity: n.E.Arity(),
 			dedupAll: n.CountCol == 0 && mayEmitDuplicates(n.E), meter: b.meter, capacity: b.capacity}
 	case *Join:
 		l, ln := b.batches(n.L)
-		node.kids = []*xCountNode{ln}
+		node.Kids = []*ra.CountNode{ln}
 		if len(n.Cond.EqPairs()) > 0 {
 			rc, rn := b.batches(n.E)
-			node.kids = append(node.kids, rn)
+			node.Kids = append(node.Kids, rn)
 			cur = ra.NewHashJoinBatchCursor(l, rc, n.Cond, b.meter, b.capacity)
 		} else if base := b.wrappedBaseRel(n.E); base != nil {
 			// Pure-theta join against a wrapped stored relation: replay
@@ -156,21 +88,21 @@ func (b *xVecBuilder) batches(e Expr) (ra.BatchCursor, *xCountNode) {
 			// zero-resident path the ra and sa executors take for stored
 			// right sides. The Wrap node still appears in the trace, with
 			// zero flow, as stored relations consumed in place do.
-			node.kids = append(node.kids, &xCountNode{e: n.E})
+			node.Kids = append(node.Kids, &ra.CountNode{Expr: n.E})
 			cur = ra.NewLoopJoinBatchCursor(l, nil, base, n.Cond, b.meter, b.capacity)
 		} else {
 			rc, rn := b.batches(n.E)
-			node.kids = append(node.kids, rn)
+			node.Kids = append(node.Kids, rn)
 			cur = ra.NewLoopJoinBatchCursor(l, rc, nil, n.Cond, b.meter, b.capacity)
 		}
 	case *Project:
 		in, kn := b.batches(n.E)
-		node.kids = []*xCountNode{kn}
+		node.Kids = []*ra.CountNode{kn}
 		cur = ra.NewProjectBatchCursor(in, n.Cols)
 	default:
 		panic(fmt.Sprintf("xra: unknown expression %T", e))
 	}
-	return &xCountBatchCursor{in: cur, node: node}, node
+	return node.Count(cur), node
 }
 
 // wrappedBaseRel unwraps a Wrap around a bare relation name and

@@ -134,34 +134,6 @@ func (p *Project) String() string {
 	return fmt.Sprintf("project[%s](%s)", strings.Join(cols, ","), p.E)
 }
 
-// Trace mirrors ra.Trace for the extended algebra.
-type Trace struct {
-	Steps           []TraceStep
-	MaxIntermediate int
-	TotalTuples     int
-	// MaxResident is the peak number of tuples simultaneously held in
-	// operator state — join build tables, γ accumulators — across the
-	// whole plan, wrapped RA subplans included (they share the meter).
-	// Only the streaming evaluator (EvalVectorizedTraced) fills it; the
-	// materialized evaluator leaves it zero. The final result relation
-	// is not counted, exactly as in ra.Trace.
-	MaxResident int
-}
-
-// TraceStep is one evaluation record.
-type TraceStep struct {
-	Expr Expr
-	Size int
-}
-
-func (tr *Trace) record(e Expr, size int) {
-	tr.Steps = append(tr.Steps, TraceStep{e, size})
-	if size > tr.MaxIntermediate {
-		tr.MaxIntermediate = size
-	}
-	tr.TotalTuples += size
-}
-
 // Eval evaluates the expression on a store (any rel.ReadStore backend).
 func Eval(e Expr, d rel.ReadStore) *rel.Relation {
 	r, _ := EvalTraced(e, d)
@@ -177,22 +149,22 @@ func Eval(e Expr, d rel.ReadStore) *rel.Relation {
 // The returned relation is always owned by the caller: every operator
 // node returns a fresh relation, and a root *Wrap delegates to
 // ra.EvalTraced, which clones bare-relation results.
-func EvalTraced(e Expr, d rel.ReadStore) (*rel.Relation, *Trace) {
+func EvalTraced(e Expr, d rel.ReadStore) (*rel.Relation, *ra.Trace) {
 	if err := Validate(e); err != nil {
 		panic("xra: invalid expression: " + err.Error())
 	}
-	tr := &Trace{}
+	tr := &ra.Trace{}
 	res := eval(e, d, tr)
 	return res, tr
 }
 
-func eval(e Expr, d rel.ReadStore, tr *Trace) *rel.Relation {
+func eval(e Expr, d rel.ReadStore, tr *ra.Trace) *rel.Relation {
 	var out *rel.Relation
 	switch n := e.(type) {
 	case *Wrap:
 		res, inner := ra.EvalTraced(n.E, d)
 		for _, s := range inner.Steps {
-			tr.record(&Wrap{E: s.Expr}, s.Size)
+			tr.Record(s.Expr, s.Size)
 		}
 		return res // already recorded via inner steps
 	case *Gamma:
@@ -207,7 +179,7 @@ func eval(e Expr, d rel.ReadStore, tr *Trace) *rel.Relation {
 	default:
 		panic(fmt.Sprintf("xra: unknown expression %T", e))
 	}
-	tr.record(e, out.Len())
+	tr.Record(e, out.Len())
 	return out
 }
 
